@@ -8,10 +8,14 @@ the elementary symmetric functions s_k of the r_i:
     V_r(x) = sum_{j=1..g} (s_{2j+1} - s_1 s_{2j}) (a-x)^(g-j)
 
 There are exactly 2^(2g) such vectors, one per half. Every output is
-verified against the independent Cantor law (double must reproduce the
-embedded point) before it is returned; a failure there is an internal
-error, never a silent wrong answer. The reverse direction recovers r
-from (U, V) through s_1 and the ratios V(alpha_i)/U(alpha_i).
+proven before it is returned by one certificate: v = V_r + (-1)^g s_1 U_r
+satisfies f - v^2 = (x - a) U_r^2 and v(a) = -b. Then
+div(y - v) = 2D + (a, -b) - (2g+1) inf, so 2D = (P) - (inf), and since f
+is squarefree U_r is coprime to f and divides V_r^2 - f. A failure there
+is an internal error, never a silent wrong answer. The Cantor group law
+stays in the tests and the benchmark as the independent oracle. The
+reverse direction recovers r from (U, V) through s_1 and the ratios
+V(alpha_i)/U(alpha_i).
 
 When some a - alpha_i is a non-square the halves are not rational;
 lift_to_sqrt_field moves the data to the quadratic extension, where
@@ -19,20 +23,16 @@ every base-field element is a square.
 
 Sign vectors are enumerated deterministically: each coordinate's
 canonical root is the square root with the smaller canonical index, and
-sign patterns count up in binary with the first coordinate as the most
-significant bit (for b = 0 the forced zero coordinate is skipped).
+sign patterns of 2g free coordinates count up in binary with the first
+as the most significant bit. The remaining coordinate, the zero one when
+a is a root of f and the last one otherwise, takes the sign that makes
+the product -b.
 """
 
 from . import errors
 from .field import quadratic_extension, sqrt
-from .poly import Polynomial, gcd_xgcd, symmetric_functions
-from .jacobian import (
-    CurvePoint,
-    MumfordDivisor,
-    curve_make,
-    double,
-    embed_point,
-)
+from .poly import Polynomial, symmetric_functions
+from .jacobian import CurvePoint, MumfordDivisor, curve_make
 
 
 class SignVector:
@@ -53,10 +53,8 @@ class SignVector:
             prod = prod * ri
         if prod != -b:
             raise ValueError("prod r_i != -b")
-        for i in range(len(r)):
-            for j in range(i + 1, len(r)):
-                if r[i] == r[j] or r[i] == -r[j]:
-                    raise ValueError("coordinates must satisfy r_i != +-r_j")
+        # r_i != +-r_j needs no check: with r_i^2 = a - alpha_i it would
+        # force alpha_i = alpha_j, which the curve already rejects.
         self.curve = curve
         self.point = point
         self.r = r
@@ -92,11 +90,11 @@ def sqrt_choices(curve, P):
     n = len(curve.alphas)
 
     roots = []
-    zero_at = None
+    rest = n - 1
     for i, alpha in enumerate(curve.alphas):
         diff = a - alpha
         if diff.is_zero():
-            zero_at = i
+            rest = i
             roots.append(field.zero())
             continue
         rr = sqrt(diff)
@@ -104,30 +102,20 @@ def sqrt_choices(curve, P):
             raise errors.SquareRootMissing(i)
         roots.append(rr[0])
 
+    free = [i for i in range(n) if i != rest]
+    m = len(free)
+    target = -b
     out = []
-    if zero_at is None:
-        target = -b
-        for mask in range(1 << n):
-            r = tuple(-roots[i] if (mask >> (n - 1 - i)) & 1 else roots[i]
-                      for i in range(n))
-            prod = field.one()
-            for ri in r:
-                prod = prod * ri
-            if prod == target:
-                out.append(SignVector(curve, P, r))
-    else:
-        free = [i for i in range(n) if i != zero_at]
-        m = len(free)
-        for mask in range(1 << m):
-            r = list(roots)
-            for k, i in enumerate(free):
-                if (mask >> (m - 1 - k)) & 1:
-                    r[i] = -r[i]
-            out.append(SignVector(curve, P, tuple(r)))
-
-    if len(out) != 1 << (2 * curve.g):
-        raise errors.SelfCheckFailed(
-            "expected %d sign vectors, got %d" % (1 << (2 * curve.g), len(out)))
+    for mask in range(1 << m):
+        r = list(roots)
+        prod = field.one()
+        for k, i in enumerate(free):
+            if (mask >> (m - 1 - k)) & 1:
+                r[i] = -r[i]
+            prod = prod * r[i]
+        if prod * r[rest] != target:
+            r[rest] = -r[rest]
+        out.append(SignVector(curve, P, r))
     return out
 
 
@@ -147,7 +135,7 @@ def lift_to_sqrt_field(curve, P):
 
 
 def _mumford_from_signs(curve, a, r):
-    """(U_r, V_r) from the closed formulas, no validation."""
+    """(U_r, V_r, s_1) from the closed formulas, no validation."""
     field = curve.field
     g = curve.g
     s = symmetric_functions(r, field)            # s[k-1] holds s_k
@@ -164,29 +152,27 @@ def _mumford_from_signs(curve, a, r):
     V = Polynomial.zero(field)
     for j in range(1, g + 1):
         V = V + powers[g - j] * (s[2 * j] - s[0] * s[2 * j - 1])
-    return U, V
+    return U, V, s[0]
 
 
 def half_from_signs(sv):
-    """The half determined by one sign vector, self-checked against the
-    Cantor law before being returned."""
+    """The half determined by one sign vector, proven before being
+    returned by the certificate f - v^2 = (x - a) U_r^2, v(a) = -b for
+    v = V_r + (-1)^g s_1 U_r (see the module docstring)."""
     curve = sv.curve
-    U, V = _mumford_from_signs(curve, sv.point.x, sv.r)
+    a, b = sv.point.x, sv.point.y
+    U, V, s1 = _mumford_from_signs(curve, a, sv.r)
 
     if not U.is_monic() or U.degree != curve.g:
         raise errors.SelfCheckFailed("U_r is not monic of degree g")
     if not V.degree < curve.g:
         raise errors.SelfCheckFailed("deg V_r is not below g")
-    gcd, _, _ = gcd_xgcd(U, curve.f)
-    if gcd.degree != 0:
-        raise errors.SelfCheckFailed("U_r shares a root with f")
-    if not ((V * V - curve.f) % U).is_zero():
-        raise errors.SelfCheckFailed("U_r does not divide V_r^2 - f")
-
-    mumford = MumfordDivisor(curve, U, V, validate=False)
-    if double(mumford) != embed_point(sv.point):
-        raise errors.SelfCheckFailed("Cantor double does not reproduce the point")
-    return HalfLift(sv, mumford)
+    v = V + U * (-s1 if curve.g % 2 else s1)
+    if curve.f - v * v != Polynomial(curve.field, [-a, 1]) * U * U:
+        raise errors.SelfCheckFailed("f - v^2 != (x - a) U_r^2")
+    if v.eval(a) != -b:
+        raise errors.SelfCheckFailed("v(a) != -b")
+    return HalfLift(sv, MumfordDivisor(curve, U, V, validate=False))
 
 
 def halve_point(curve, P):
@@ -217,11 +203,11 @@ def recover_signs(curve, U, V):
         raise errors.NotAHalf("U must be monic of degree g")
     if not V.degree < g:
         raise errors.NotAHalf("deg V must be below g")
-    gcd, _, _ = gcd_xgcd(U, curve.f)
-    if gcd.degree != 0:
+    u = [U.eval(alpha) for alpha in curve.alphas]
+    if any(ui.is_zero() for ui in u):                # f splits into the alphas
         raise errors.SharedRootWithF("U and f have a common root")
 
-    w = [V.eval(alpha) / U.eval(alpha) for alpha in curve.alphas]
+    w = [V.eval(alpha) / ui for alpha, ui in zip(curve.alphas, u)]
     sign = field(-1) if g % 2 else field.one()
 
     if g % field.p != 0:
@@ -248,7 +234,6 @@ def recover_signs(curve, U, V):
     for ri, alpha in zip(r, curve.alphas):
         if ri * ri + alpha != a:
             raise errors.NotAHalf("coordinates do not agree on the point")
-    b = field.zero()
     prod = field.one()
     for ri in r:
         prod = prod * ri
@@ -260,7 +245,7 @@ def recover_signs(curve, U, V):
     except (errors.PointNotOnCurve, ValueError) as exc:
         raise errors.NotAHalf(str(exc)) from exc
 
-    U2, V2 = _mumford_from_signs(curve, a, r)
+    U2, V2, _ = _mumford_from_signs(curve, a, r)
     if U2 != U or V2 != V:
         raise errors.NotAHalf("the pair does not rebuild from its sign vector")
     return sv, point

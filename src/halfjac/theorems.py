@@ -214,9 +214,9 @@ def check_two_torsion_halving(curve):
     """Each Weierstrass class has 2^(2g) halves, all of order exactly 4.
 
     Works over the smallest extension where the square roots needed by
-    the halving formulas exist; the halves are already cross-checked
-    against doubling when they are built, so the only new content here
-    is the order statement.
+    the halving formulas exist. The halves are already proven by their
+    certificate when they are built; the Cantor doubling here checks
+    them again independently and adds the order statement.
     """
     start = time.perf_counter()
     violations = []

@@ -89,6 +89,29 @@ def test_sign_vector_invariants():
             assert prod == -pt.y
             for i, j in itertools.combinations(range(len(sv.r)), 2):
                 assert sv.r[i] != sv.r[j] and sv.r[i] != -sv.r[j]
+    # the 2^(2g) order equals a filter over all 2^(2g+1) sign patterns
+    G3 = curve_make(F13, [0, 1, 2, 3, 4, 5, 6])
+    for curve, pt in ((C13, P05), (C13, CurvePoint(C13, 1, 0)),
+                      (G3, CurvePoint(G3, 7, 3)), (G3, CurvePoint(G3, 0, 0))):
+        curve2, pt2 = lift_to_sqrt_field(curve, pt)
+        assert [sv.r for sv in sqrt_choices(curve2, pt2)] == \
+            _brute_sign_vectors(curve2, pt2)
+
+
+def _brute_sign_vectors(curve, pt):
+    F, n = curve.field, len(curve.alphas)
+    roots = [F.zero() if pt.x == alpha else sqrt(pt.x - alpha)[0]
+             for alpha in curve.alphas]
+    out = []
+    for mask in range(1 << n):
+        r = tuple(-roots[i] if (mask >> (n - 1 - i)) & 1 else roots[i]
+                  for i in range(n))
+        prod = F.one()
+        for ri in r:
+            prod = prod * ri
+        if prod == -pt.y and r not in out:     # a zero coordinate repeats r
+            out.append(r)
+    return out
 
 def test_sign_vector_validation():
     with pytest.raises(ValueError):
@@ -124,6 +147,23 @@ def test_g1_closed_form():
             s1, s2, s3 = symmetric_functions(h.sign_vector.r)
             assert h.mumford.U == Polynomial(curve.field, [-pt.x - s2, curve.field.one()])
             assert h.mumford.V == Polynomial.constant(s3 - s1 * s2)
+
+def test_half_certificate_rejects_wrong_pairs(monkeypatch):
+    import halfjac.halving as halving
+    real = halving._mumford_from_signs
+    sv = sqrt_choices(C13, P05)[0]
+    U, V, s1 = real(C13, P05.x, sv.r)
+
+    monkeypatch.setattr(halving, "_mumford_from_signs",
+                        lambda curve, a, r: (U, V + 1, s1))
+    with pytest.raises(errors.SelfCheckFailed, match=r"f - v\^2"):
+        half_from_signs(sv)
+
+    # a genuine half of (a, -b) passes the first clause, not v(a) = -b
+    forged = real(C13, P05.x, sqrt_choices(C13, P05.involution())[0].r)
+    monkeypatch.setattr(halving, "_mumford_from_signs", lambda curve, a, r: forged)
+    with pytest.raises(errors.SelfCheckFailed, match=r"v\(a\) != -b"):
+        half_from_signs(sv)
 
 def test_doubling_oracle_master_property():
     for curve, pt in ((C3, P01), (C1, P10), (C13, P05)):
