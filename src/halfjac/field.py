@@ -9,6 +9,25 @@ Elements are immutable wrappers around a canonical raw value: an int in
 [0, p) for prime fields, a fixed-length tuple of base raws for extensions
 (polynomial basis, little-endian). All operations are pure; fields compare
 structurally, so independently built copies of the same field interoperate.
+No other module reads or builds raws.
+
+Building a FiniteField picks its raw arithmetic from its shape, once:
+
+- F_p (_PrimeField) works on plain ints.
+- F_p[t]/(t^2 + m1 t + m0) (_PairField) works on int pairs. A product is
+  one flat formula: with hi = a1 b1 it is
+  (a0 b0 - m0 hi, a0 b1 + a1 b0 - m1 hi) mod p.
+- Every field of degree 2, pairs and towers alike, inverts by the norm:
+  (a0 + a1 t)^-1 = (a0 - m1 a1 - a1 t) / (a0 (a0 - m1 a1) + m0 a1^2),
+  one inverse in the base field.
+- Degree >= 3 and towers (an extension of an extension) keep the generic
+  recursive tuple arithmetic of FiniteField; there inverses of degree >= 3
+  are the Fermat power x^(q-2).
+
+The _r* methods return canonical raws, so the operators wrap their results
+with the unchecked internal constructor _element. FieldElement(field, raw)
+is the public constructor for raws from outside: it reduces ints mod p and
+checks the coefficient count.
 
 The canonical index orders every field: ints order F_p, and an extension
 element c_0 + c_1 t + ... has index sum(index(c_j) * q_base^j). Non-square
@@ -25,66 +44,55 @@ from .errors import (
 )
 
 
+# The first 13 primes. As Miller-Rabin bases they decide primality for every
+# n < 3317044064679887385961981 (about 3.3 * 10^24; Sorenson and Webster,
+# "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n):
+    """Miller-Rabin on the bases _MR_BASES: exact below ~3.3 * 10^24."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-# raw polynomial helpers over F_p (little-endian int lists), used only by
-# the irreducibility check, which runs below the Polynomial type
-
-def _intpoly_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-def _intpoly_rem(p, a, b):
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    while a and len(a) - 1 >= db:
-        c = a[-1] * inv_lead % p
-        shift = len(a) - 1 - db
-        for j, bj in enumerate(b):
-            a[shift + j] = (a[shift + j] - c * bj) % p
-        _intpoly_trim(a)
-    return a
-
-def _intpoly_gcd(p, a, b):
-    a = _intpoly_trim(list(a))
-    b = _intpoly_trim(list(b))
-    while b:
-        a, b = b, _intpoly_rem(p, a, b)
-    return a
-
-
 class FiniteField:
-    """Descriptor of F_q with q = p^k; immutable and safe to share."""
+    """Descriptor of F_q with q = p^k; immutable and safe to share.
 
-    __slots__ = ("p", "k", "q", "base", "modulus", "_zero", "_one", "_hash",
-                 "_nonsquare", "_ext")
+    Building one picks the arithmetic for its shape (see the module
+    docstring): FiniteField(p) is a _PrimeField, a degree-2 modulus over a
+    prime field gives a _PairField, and every other shape keeps the generic
+    methods of this class.
+    """
+
+    __slots__ = ("p", "k", "q", "base", "modulus", "_zero_raw", "_one_raw",
+                 "_zero", "_one", "_hash", "_nonsquare", "_ext")
+
+    def __new__(cls, p, modulus=None, base=None):
+        if cls is FiniteField:
+            if base is None:
+                cls = _PrimeField
+            elif base.base is None and len(modulus) == 2:
+                cls = _PairField
+        return object.__new__(cls)
 
     def __init__(self, p, modulus=None, base=None):
         self.p = p
@@ -93,10 +101,14 @@ class FiniteField:
             self.k = 1
             self.q = p
             self.modulus = None
+            self._zero_raw = 0
+            self._one_raw = 1
         else:
             self.k = len(modulus)
             self.q = base.q ** self.k
             self.modulus = tuple(modulus)
+            self._zero_raw = (base._zero_raw,) * self.k
+            self._one_raw = (base._one_raw,) + self._zero_raw[1:]
         self._hash = None
         self._nonsquare = None
         self._ext = None
@@ -121,47 +133,27 @@ class FiniteField:
     def __repr__(self):
         return "F_%d" % self.q
 
-    # --- raw arithmetic ---
-
-    def _zero_raw(self):
-        if self.base is None:
-            return 0
-        return tuple(self.base._zero_raw() for _ in range(self.k))
-
-    def _one_raw(self):
-        if self.base is None:
-            return 1
-        return (self.base._one_raw(),) + tuple(self.base._zero_raw() for _ in range(self.k - 1))
+    # --- raw arithmetic, generic: coefficient tuples over any base ---
 
     def _rfromint(self, n):
-        if self.base is None:
-            return n % self.p
-        return (self.base._rfromint(n),) + tuple(self.base._zero_raw() for _ in range(self.k - 1))
+        return (self.base._rfromint(n),) + self._zero_raw[1:]
 
     def _radd(self, a, b):
-        if self.base is None:
-            return (a + b) % self.p
         base = self.base
         return tuple(base._radd(x, y) for x, y in zip(a, b))
 
     def _rsub(self, a, b):
-        if self.base is None:
-            return (a - b) % self.p
         base = self.base
         return tuple(base._rsub(x, y) for x, y in zip(a, b))
 
     def _rneg(self, a):
-        if self.base is None:
-            return (-a) % self.p
         base = self.base
         return tuple(base._rneg(x) for x in a)
 
     def _rmul(self, a, b):
-        if self.base is None:
-            return a * b % self.p
         base = self.base
         k = self.k
-        zero = base._zero_raw()
+        zero = base._zero_raw
         prod = [zero] * (2 * k - 1)
         for i, ai in enumerate(a):
             if ai == zero:
@@ -179,7 +171,7 @@ class FiniteField:
         return tuple(prod[:k])
 
     def _rpow(self, a, n):
-        result = self._one_raw()
+        result = self._one_raw
         while n > 0:
             if n & 1:
                 result = self._rmul(result, a)
@@ -188,17 +180,22 @@ class FiniteField:
         return result
 
     def _rinv(self, a):
-        if a == self._zero_raw():
+        if a == self._zero_raw:
             raise DivisionByZero("inverse of zero in %r" % self)
-        if self.base is None:
-            return pow(a, self.p - 2, self.p)
-        return self._rpow(a, self.q - 2)
+        if self.k != 2:
+            return self._rpow(a, self.q - 2)
+        # degree 2: the norm inverse of the module docstring
+        base = self.base
+        a0, a1 = a
+        m0, m1 = self.modulus
+        c0 = base._rsub(a0, base._rmul(m1, a1))
+        norm = base._radd(base._rmul(a0, c0), base._rmul(m0, base._rmul(a1, a1)))
+        n_inv = base._rinv(norm)
+        return (base._rmul(c0, n_inv), base._rneg(base._rmul(a1, n_inv)))
 
     # --- canonical index ---
 
     def _rindex(self, a):
-        if self.base is None:
-            return a
         base = self.base
         idx = 0
         for c in reversed(a):
@@ -206,8 +203,6 @@ class FiniteField:
         return idx
 
     def _rat(self, i):
-        if self.base is None:
-            return i
         base = self.base
         out = []
         for _ in range(self.k):
@@ -219,27 +214,27 @@ class FiniteField:
 
     def __call__(self, value):
         if isinstance(value, FieldElement):
-            if value.field == self:
+            if value.field is self or value.field == self:
                 return value
             raise FieldMismatch("element of %r is not in %r" % (value.field, self))
         if isinstance(value, int):
-            return FieldElement(self, self._rfromint(value))
+            return _element(self, self._rfromint(value))
         raise TypeError("cannot make a field element from %r" % (value,))
 
     def zero(self):
         if self._zero is None:
-            self._zero = FieldElement(self, self._zero_raw())
+            self._zero = _element(self, self._zero_raw)
         return self._zero
 
     def one(self):
         if self._one is None:
-            self._one = FieldElement(self, self._one_raw())
+            self._one = _element(self, self._one_raw)
         return self._one
 
     def element_at(self, index):
         if not 0 <= index < self.q:
             raise ValueError("index %d outside [0, %d)" % (index, self.q))
-        return FieldElement(self, self._rat(index))
+        return _element(self, self._rat(index))
 
     def index_of(self, element):
         if element.field != self:
@@ -249,13 +244,90 @@ class FiniteField:
     def elements(self):
         """All field elements in canonical index order."""
         for i in range(self.q):
-            yield FieldElement(self, self._rat(i))
+            yield _element(self, self._rat(i))
 
     def modulus_coeffs(self):
         """Modulus coefficients c_0..c_{k-1} as base-field elements (None for F_p)."""
         if self.base is None:
             return None
-        return tuple(FieldElement(self.base, c) for c in self.modulus)
+        return tuple(_element(self.base, c) for c in self.modulus)
+
+
+class _PrimeField(FiniteField):
+    """F_p on plain ints in [0, p)."""
+
+    __slots__ = ()
+
+    def _rfromint(self, n):
+        return n % self.p
+
+    def _radd(self, a, b):
+        return (a + b) % self.p
+
+    def _rsub(self, a, b):
+        return (a - b) % self.p
+
+    def _rneg(self, a):
+        return -a % self.p
+
+    def _rmul(self, a, b):
+        return a * b % self.p
+
+    def _rinv(self, a):
+        if a == 0:
+            raise DivisionByZero("inverse of zero in %r" % self)
+        return pow(a, -1, self.p)
+
+    def _rindex(self, a):
+        return a
+
+    def _rat(self, i):
+        return i
+
+
+class _PairField(FiniteField):
+    """F_p[t]/(t^2 + m1 t + m0) on pairs (c0, c1) of ints in [0, p)."""
+
+    __slots__ = ()
+
+    def _rfromint(self, n):
+        return (n % self.p, 0)
+
+    def _radd(self, a, b):
+        p = self.p
+        return ((a[0] + b[0]) % p, (a[1] + b[1]) % p)
+
+    def _rsub(self, a, b):
+        p = self.p
+        return ((a[0] - b[0]) % p, (a[1] - b[1]) % p)
+
+    def _rneg(self, a):
+        p = self.p
+        return (-a[0] % p, -a[1] % p)
+
+    def _rmul(self, a, b):
+        # t^2 = -m1 t - m0 folds the a1 b1 t^2 term into both coefficients
+        p = self.p
+        m0, m1 = self.modulus
+        a0, a1 = a
+        b0, b1 = b
+        hi = a1 * b1
+        return ((a0 * b0 - m0 * hi) % p, (a0 * b1 + a1 * b0 - m1 * hi) % p)
+
+
+_new_object = object.__new__
+
+
+def _element(field, raw):
+    """Unchecked constructor: raw must already be canonical for field.
+
+    Every _r* result is canonical, so the arithmetic wraps its results with
+    this; FieldElement(field, raw) normalises input from outside.
+    """
+    e = _new_object(FieldElement)
+    e.field = field
+    e.raw = raw
+    return e
 
 
 class FieldElement:
@@ -283,7 +355,7 @@ class FieldElement:
             return (self.raw,)
         if F.base.base is None:
             return self.raw
-        return tuple(FieldElement(F.base, c) for c in self.raw)
+        return tuple(_element(F.base, c) for c in self.raw)
 
     def _other_raw(self, other):
         if isinstance(other, FieldElement):
@@ -298,7 +370,7 @@ class FieldElement:
         raw = self._other_raw(other)
         if raw is None:
             return NotImplemented
-        return FieldElement(self.field, self.field._radd(self.raw, raw))
+        return _element(self.field, self.field._radd(self.raw, raw))
 
     __radd__ = __add__
 
@@ -306,19 +378,19 @@ class FieldElement:
         raw = self._other_raw(other)
         if raw is None:
             return NotImplemented
-        return FieldElement(self.field, self.field._rsub(self.raw, raw))
+        return _element(self.field, self.field._rsub(self.raw, raw))
 
     def __rsub__(self, other):
         raw = self._other_raw(other)
         if raw is None:
             return NotImplemented
-        return FieldElement(self.field, self.field._rsub(raw, self.raw))
+        return _element(self.field, self.field._rsub(raw, self.raw))
 
     def __mul__(self, other):
         raw = self._other_raw(other)
         if raw is None:
             return NotImplemented
-        return FieldElement(self.field, self.field._rmul(self.raw, raw))
+        return _element(self.field, self.field._rmul(self.raw, raw))
 
     __rmul__ = __mul__
 
@@ -326,33 +398,34 @@ class FieldElement:
         raw = self._other_raw(other)
         if raw is None:
             return NotImplemented
-        return FieldElement(self.field, self.field._rmul(self.raw, self.field._rinv(raw)))
+        return _element(self.field, self.field._rmul(self.raw, self.field._rinv(raw)))
 
     def __rtruediv__(self, other):
         raw = self._other_raw(other)
         if raw is None:
             return NotImplemented
-        return FieldElement(self.field, self.field._rmul(raw, self.field._rinv(self.raw)))
+        return _element(self.field, self.field._rmul(raw, self.field._rinv(self.raw)))
 
     def __neg__(self):
-        return FieldElement(self.field, self.field._rneg(self.raw))
+        return _element(self.field, self.field._rneg(self.raw))
 
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return FieldElement(self.field, self.field._rpow(self.field._rinv(self.raw), -n))
-        return FieldElement(self.field, self.field._rpow(self.raw, n))
+            return _element(self.field, self.field._rpow(self.field._rinv(self.raw), -n))
+        return _element(self.field, self.field._rpow(self.raw, n))
 
     def inv(self):
-        return FieldElement(self.field, self.field._rinv(self.raw))
+        return _element(self.field, self.field._rinv(self.raw))
 
     def is_zero(self):
-        return self.raw == self.field._zero_raw()
+        return self.raw == self.field._zero_raw
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.field == other.field and self.raw == other.raw
+            return self.raw == other.raw and (self.field is other.field
+                                              or self.field == other.field)
         if isinstance(other, int):
             return self.raw == self.field._rfromint(other)
         return NotImplemented
@@ -372,7 +445,7 @@ class FieldElement:
         return "%s in %r" % (self, self.field)
 
     def __bool__(self):
-        return not self.is_zero()
+        return self.raw != self.field._zero_raw
 
 
 # --- construction ---
@@ -382,6 +455,11 @@ def ff_make(p, modulus_poly=None):
 
     modulus_poly is a little-endian monic int coefficient list; degree >= 2
     moduli are checked for irreducibility over F_p.
+
+    p is tested by Miller-Rabin on the first 13 prime bases. That proves
+    primality for p < 3.3 * 10^24 (Sorenson and Webster, 2017). Above the
+    bound the test is probabilistic: a pass means p is a probable prime,
+    and the bound itself is the smallest composite that passes.
     """
     if not isinstance(p, int) or not _is_prime(p):
         raise NotPrime("%r is not prime" % (p,))
@@ -406,17 +484,22 @@ def ff_make(p, modulus_poly=None):
 
 
 def _is_irreducible(p, coeffs):
-    """Rabin test for a monic degree-k polynomial over F_p, k >= 2."""
+    """Rabin test for a monic degree-k polynomial m over F_p, k >= 2.
+
+    Once t^(p^k) = t mod m, m divides the squarefree t^(p^k) - t, so
+    F_p[t]/(m) is a product of fields F_{p^d} with d | k. There w is prime
+    to m exactly when w^(p^k - 1) = 1, which stands in for Rabin's gcd.
+    """
     k = len(coeffs) - 1
-    F = FiniteField(p, modulus=tuple(coeffs[:-1]), base=FiniteField(p))
+    R = FiniteField(p, modulus=tuple(coeffs[:-1]), base=FiniteField(p))
     u = (0, 1) + (0,) * (k - 2)
-    if F._rpow(u, p ** k) != u:
+    if R._rpow(u, p ** k) != u:
         return False
-    for t in _prime_divisors(k):
-        w = F._rsub(F._rpow(u, p ** (k // t)), u)
-        g = _intpoly_gcd(p, list(w), coeffs)
-        if len(g) - 1 != 0:
-            return False
+    for r in range(2, k + 1):
+        if k % r == 0 and _is_prime(r):
+            w = R._rsub(R._rpow(u, p ** (k // r)), u)
+            if R._rpow(w, p ** k - 1) != R._one_raw:
+                return False
     return True
 
 
@@ -425,21 +508,21 @@ def _is_irreducible(p, coeffs):
 def is_square(a):
     """Euler criterion: true iff a is a square in its own field."""
     F = a.field
-    if a.raw == F._zero_raw():
+    if a.raw == F._zero_raw:
         return True
-    return F._rpow(a.raw, (F.q - 1) // 2) == F._one_raw()
+    return F._rpow(a.raw, (F.q - 1) // 2) == F._one_raw
 
 
 def sqrt(a):
     """Both square roots (x, -x) of a, canonical index of x first; None if a
     is a non-square. Always verified by squaring before returning."""
     F = a.field
-    if a.raw == F._zero_raw():
+    if a.raw == F._zero_raw:
         return (F.zero(), F.zero())
     if F.q % 4 == 3:
         x = F._rpow(a.raw, (F.q + 1) // 4)
     else:
-        if F._rpow(a.raw, (F.q - 1) // 2) != F._one_raw():
+        if F._rpow(a.raw, (F.q - 1) // 2) != F._one_raw:
             return None
         x = _tonelli_shanks(F, a.raw)
     if F._rmul(x, x) != a.raw:
@@ -447,14 +530,14 @@ def sqrt(a):
     nx = F._rneg(x)
     if F._rindex(x) > F._rindex(nx):
         x, nx = nx, x
-    return (FieldElement(F, x), FieldElement(F, nx))
+    return (_element(F, x), _element(F, nx))
 
 
 def _nonsquare_raw(F):
     """First non-square in canonical scan order 1, 2, 3, ...; cached."""
     if F._nonsquare is None:
         half = (F.q - 1) // 2
-        one = F._one_raw()
+        one = F._one_raw
         for i in range(1, F.q):
             cand = F._rat(i)
             if F._rpow(cand, half) != one:
@@ -471,7 +554,7 @@ def _tonelli_shanks(F, a):
     while s % 2 == 0:
         s //= 2
         e += 1
-    one = F._one_raw()
+    one = F._one_raw
     c = F._rpow(_nonsquare_raw(F), s)
     t = F._rpow(a, s)
     r = F._rpow(a, (s + 1) // 2)
@@ -483,7 +566,7 @@ def _tonelli_shanks(F, a):
             t2 = F._rmul(t2, t2)
             i += 1
             if i == m:
-                return F._zero_raw()   # not a square; caller's verify rejects
+                return F._zero_raw   # not a square; caller's verify rejects
         b = c
         for _ in range(m - i - 1):
             b = F._rmul(b, b)
@@ -503,13 +586,13 @@ def quadratic_extension(F):
     if F._ext is None:
         n = _nonsquare_raw(F)
         # t^2 - n is irreducible precisely because n is a non-square
-        F2 = FiniteField(F.p, modulus=(F._rneg(n), F._zero_raw()), base=F)
-        zero = F._zero_raw()
+        F2 = FiniteField(F.p, modulus=(F._rneg(n), F._zero_raw), base=F)
+        zero = F._zero_raw
 
         def embed(e):
             if e.field != F:
                 raise FieldMismatch("cannot embed element of %r via %r" % (e.field, F))
-            return FieldElement(F2, (e.raw, zero))
+            return _element(F2, (e.raw, zero))
 
         F._ext = (F2, embed)
     return F._ext

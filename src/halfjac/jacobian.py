@@ -48,11 +48,9 @@ class HyperellipticCurve:
         self.field = field
         self.alphas = alphas
         self.g = (n - 1) // 2
+        # f = prod(x - alpha_i) over distinct alphas, so f is squarefree
         self.f = from_roots(field, alphas)
         self._hash = None
-        g, _, _ = gcd_xgcd(self.f, self.f.derivative())
-        if g.degree != 0:
-            raise errors.DuplicateRoots("f is not squarefree")
 
     def __eq__(self, other):
         if self is other:

@@ -7,6 +7,7 @@ API but travel a different code path than the operation under test.
 """
 
 import itertools
+import math
 
 
 # --- exhaustive squaring over F_p (plain ints) ---
@@ -86,6 +87,44 @@ def ec_points(p, coeffs):
     return pts
 
 
+# --- primality and extension-field products (plain ints) ---
+
+def is_prime_trial(n):
+    """Primality by trial division up to sqrt(n)."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _ext_add(p, x, y, sign=1):
+    if isinstance(x, int):
+        return (x + sign * y) % p
+    return tuple(_ext_add(p, u, v, sign) for u, v in zip(x, y))
+
+
+def ext_mul(p, moduli, a, b):
+    """Schoolbook product in the tower F_p[t_1]/(m_1)...[t_r]/(m_r).
+
+    Elements are nested little-endian coefficient tuples with ints at the
+    bottom. moduli lists m_1..m_r innermost first, each monic and written
+    without its leading 1, with coefficients one level down. The product is
+    multiplied out in full, then t^k = -(m_0 + ... + m_{k-1} t^{k-1}) folds
+    it down from the top degree.
+    """
+    if not moduli:
+        return a * b % p
+    *inner, mod = moduli
+    k = len(mod)
+    zero = _ext_add(p, a[0], a[0], -1)
+    prod = [zero] * (2 * k - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] = _ext_add(p, prod[i + j], ext_mul(p, inner, ai, bj))
+    for d in range(2 * k - 2, k - 1, -1):
+        for j in range(k):
+            prod[d - k + j] = _ext_add(p, prod[d - k + j],
+                                       ext_mul(p, inner, prod[d], mod[j]), -1)
+    return tuple(prod[:k])
+
+
 # --- dual-route helpers built on the package's public API ---
 
 def brute_halves(curve, target, classes):
@@ -129,7 +168,7 @@ def stable_multiset_theta(curve, d):
 
     def down_elem(e):
         c0, c1 = e.raw
-        assert c1 == F._zero_raw(), "class is not rational"
+        assert c1 == F.zero().raw, "class is not rational"
         return FieldElement(F, c0)
 
     def down_poly(poly):

@@ -11,12 +11,13 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import squares_mod, sqrt_table_mod
+from oracles import ext_mul, is_prime_trial, squares_mod, sqrt_table_mod
 
 from halfjac import errors
 from halfjac.field import (
     FieldElement,
     FiniteField,
+    _is_prime,
     element_from_json,
     element_to_json,
     ff_make,
@@ -33,6 +34,7 @@ F49 = ff_make(7, [4, 0, 1])       # t^2 - 3, 3 a non-square mod 7
 F9 = ff_make(3, [1, 0, 1])        # t^2 + 1
 F27 = ff_make(3, [1, 2, 0, 1])    # t^3 + 2t + 1, no roots in F_3
 F121 = ff_make(11, [4, 0, 1])     # t^2 - 7, 7 a non-square mod 11
+F49L = ff_make(7, [3, 1, 1])      # t^2 + t + 3, discriminant -11 = 3 a non-square mod 7
 
 
 # --- construction ---
@@ -55,6 +57,21 @@ def test_reducible_modulus_rejected():
     with pytest.raises(errors.ReducibleModulus):
         ff_make(7, [6, 0, 0, 1])  # t^3 - 1 has root 1
 
+def test_irreducible_count_matches_gauss_formula():
+    # monic irreducibles of degree k over F_p number (1/k) sum_{d | k} mu(d) p^(k/d);
+    # at k = 6 the product t (t^2 + 1) (t^3 + 2t + 1) passes Rabin's first
+    # condition and only the second one rejects it
+    for p, k, count in ((3, 2, 3), (5, 2, 10), (3, 3, 8), (5, 3, 40), (3, 4, 18),
+                        (3, 6, 116)):
+        found = 0
+        for tail in itertools.product(range(p), repeat=k):
+            try:
+                ff_make(p, list(tail) + [1])
+                found += 1
+            except errors.ReducibleModulus:
+                pass
+        assert found == count, (p, k)
+
 def test_rootless_reducible_quartic_rejected():
     # (t^2 + 1)^2 over F_3 has no roots but still factors
     with pytest.raises(errors.ReducibleModulus):
@@ -67,6 +84,22 @@ def test_irreducible_quartic_accepted():
 def test_non_monic_modulus_rejected():
     with pytest.raises(ValueError):
         ff_make(7, [1, 0, 3])
+
+def test_is_prime_agrees_with_trial_division_below_1e5():
+    for n in range(10 ** 5):
+        assert _is_prime(n) == is_prime_trial(n), n
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime base up to 31
+    for n, factors in ((3215031751, (151, 751, 28351)),
+                       (3825123056546413051, (149491, 747451, 34233211))):
+        assert n == factors[0] * factors[1] * factors[2]
+        assert not _is_prime(n)
+
+def test_large_mersenne_prime_field():
+    F = ff_make(2 ** 61 - 1)
+    assert F.q == 2 ** 61 - 1
+    assert F(3) * F(3).inv() == F.one()
 
 def test_bad_characteristic():
     with pytest.raises(errors.NotPrime):
@@ -95,11 +128,30 @@ def test_prime_field_arith_examples():
     assert F7(3) / F7(5) == F7(2)
 
 def test_every_nonzero_element_times_inverse_is_one():
-    for F in (F7, F49, F9, F27):
+    # the norm inverse of the degree-2 fields against a Fermat power, which
+    # uses multiplication alone
+    F81, _ = quadratic_extension(F9)
+    for F in (F7, F49, F49L, F9, F27, F81):
         one = F.one()
         for a in F.elements():
             if a != F.zero():
                 assert a * a.inv() == one
+                assert a.inv() == a ** (F.q - 2)
+
+def test_mul_matches_schoolbook_oracle():
+    F81, _ = quadratic_extension(F9)
+    for F, moduli in ((F49, [F49.modulus]), (F49L, [F49L.modulus]),
+                      (F27, [F27.modulus]), (F81, [F9.modulus, F81.modulus])):
+        els = list(F.elements())
+        for a, b in itertools.product(els, repeat=2):
+            assert (a * b).raw == ext_mul(F.p, moduli, a.raw, b.raw)
+
+def test_public_constructor_normalises():
+    assert FieldElement(F7, 10) == F7(3)
+    assert FieldElement(F49L, (9, -1)).raw == (2, 6)
+    with pytest.raises(ValueError):
+        FieldElement(F49L, (1, 2, 3))
+    assert FiniteField(7) == F7 and FiniteField(7)(3) * 5 == F7(1)
 
 def test_division_by_zero():
     with pytest.raises(errors.DivisionByZero):
@@ -138,11 +190,23 @@ def test_field_axioms_exhaustive_f7():
         assert a * b == b * a
 
 def test_field_axioms_exhaustive_f49():
-    els = list(F49.elements())
-    for a, b, c in itertools.product(els, repeat=3):
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
+    for F in (F49, F49L):
+        els = list(F.elements())
+        for a, b, c in itertools.product(els, repeat=3):
+            assert (a + b) + c == a + (b + c)
+            assert (a * b) * c == a * (b * c)
+            assert a * (b + c) == a * b + a * c
+
+def test_field_axioms_tower_f81():
+    # Multiplication is F_3-bilinear (it matches the schoolbook oracle), so
+    # associativity for every c follows from c running over an F_3-basis.
+    F81, _ = quadratic_extension(F9)
+    els = list(F81.elements())
+    basis = [F81.element_at(3 ** i) for i in range(4)]
+    for a, b in itertools.product(els, repeat=2):
+        assert a * b == b * a
+        for c in basis:
+            assert (a * b) * c == a * (b * c)
 
 def test_frobenius_fixes_every_element():
     for F in (F7, F9, F49):
