@@ -13,6 +13,7 @@ coefficient values, so the zero polynomial is [] and x + 3 over F_7 is
 """
 
 import json
+import sys
 
 import click
 
@@ -49,10 +50,10 @@ def _curve_from_flags(field_text, alphas_text):
 
 def _emit(payload, output, table_lines):
     if output == "json":
-        click.echo(json.dumps(payload, indent=2))
+        click.echo(json.dumps(payload, indent=2), file=sys.stdout)
     else:
         for line in table_lines:
-            click.echo(line)
+            click.echo(line, file=sys.stdout)
 
 
 _FIELD = click.option("--field", "field_text", required=True,
@@ -124,11 +125,14 @@ def halve(field_text, alphas_text, point_text, no_lift, output):
     except SquareRootMissing as e:
         raise click.ClickException(
             "%s (rerun without --no-lift to allow the extension)" % e)
+    # 2h = target, so ord(h) is n0 or 2n0. It is n0 only when n0 is odd and
+    # h = ((n0 + 1)/2) * 2h, and exactly one half equals that class.
     target = embed_point(P2)
     n0 = order(target)
+    odd_half = scalar_mul((n0 + 1) // 2, target) if n0 % 2 else None
     entries = []
     for h in halves:
-        n = n0 if scalar_mul(n0, h.mumford).is_identity() else 2 * n0
+        n = n0 if h.mumford == odd_half else 2 * n0
         entries.append({"r": [element_to_json(c) for c in h.sign_vector.r],
                         "U": poly_to_json(h.mumford.U),
                         "V": poly_to_json(h.mumford.V),
@@ -280,6 +284,6 @@ def main(argv=None):
     except click.exceptions.Abort:
         return 1
     except HalfjacError as e:
-        click.echo("error: %s" % e, err=True)
+        click.echo("error: %s" % e, file=sys.stderr)
         return 1
     return rv if isinstance(rv, int) else 0

@@ -66,7 +66,8 @@ class InvalidDivisor(HalfjacError):
 
 
 class CapExceeded(HalfjacError):
-    """Order search walked past the Weil bound: an internal arithmetic bug."""
+    """Order search passed the cap; under the default Weil-bound cap, an
+    internal arithmetic bug."""
 
 
 class DegreeOutOfRange(HalfjacError):

@@ -293,20 +293,39 @@ def weil_cap(curve):
 
 
 def order(d, cap=None):
-    """Smallest n >= 1 with n*d = identity, by successive addition.
+    """Smallest n >= 1 with n*d = identity, by Terr's baby-step giant-step.
 
-    The cap defaults to the Weil bound; exceeding it means the arithmetic
-    is broken, not that the order is large."""
+    Terr 2000 (Math. Comp. 69, "A modification of Shanks' baby-step
+    giant-step algorithm"). Step k stores the baby step k*d and moves the
+    giant step to T_k*d, T_k = k(k+1)/2. A giant step equal to a stored j*d
+    with k > 1 gives the multiple T_k - j of the order. As j runs through
+    k..1 it covers T_{k-1}..T_k - 1, and these ranges tile the positive
+    integers in order, so the first hit is the exact order n. That takes
+    about sqrt(8n) additions and no knowledge of the group order.
+
+    CapExceeded is raised exactly when the order exceeds the cap, and the
+    search stops once every order left exceeds it. The cap defaults to the
+    Weil bound, which no order exceeds unless the arithmetic is broken."""
     if cap is None:
         cap = weil_cap(d.curve)
-    ident = MumfordDivisor.identity(d.curve)
-    acc = d
-    n = 1
-    while acc != ident:
-        acc = add(acc, d)
-        n += 1
-        if n > cap:
-            raise errors.CapExceeded("no identity after %d additions" % cap)
+    seen = {d: 1}
+    baby = giant = d
+    k = t = 1                   # baby = k*d, giant = t*d with t = T_k
+    n = 1 if d.is_identity() else None
+    while n is None and t <= cap:   # orders below T_k are ruled out
+        k += 1
+        baby = add(baby, d)
+        if baby.is_identity():
+            n = k
+            break
+        seen[baby] = k
+        t += k
+        giant = add(giant, baby)
+        j = seen.get(giant)
+        if j is not None:
+            n = t - j
+    if n is None or n > cap:
+        raise errors.CapExceeded("order search passed the cap %d" % cap)
     return n
 
 

@@ -133,6 +133,49 @@ def brute_halves(curve, target, classes):
     return [c for c in classes if jacobian.double(c) == target]
 
 
+def order_by_addition(d, cap=None):
+    """Smallest n >= 1 with n*d = identity, by adding d one step at a time.
+
+    Linear in the order; the cap defaults to the Weil bound and CapExceeded
+    is raised once the count passes it."""
+    from halfjac import errors, jacobian
+    if cap is None:
+        cap = jacobian.weil_cap(d.curve)
+    ident = jacobian.MumfordDivisor.identity(d.curve)
+    acc = d
+    n = 1
+    while acc != ident:
+        acc = jacobian.add(acc, d)
+        n += 1
+        if n > cap:
+            raise errors.CapExceeded("no identity after %d additions" % cap)
+    return n
+
+
+def prime_divisors(n):
+    """The distinct primes dividing n >= 1, by trial division."""
+    out, m = [], 2
+    while m * m <= n:
+        if n % m == 0:
+            out.append(m)
+            while n % m == 0:
+                n //= m
+        m += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def is_exact_order(d, n):
+    """True iff d has order exactly n: n*d = 0 and (n/l)*d != 0 for every
+    prime l dividing n. Uses scalar multiplication, not order()."""
+    from halfjac.jacobian import scalar_mul
+    if n < 1 or not scalar_mul(n, d).is_identity():
+        return False
+    return all(not scalar_mul(n // l, d).is_identity()
+               for l in prime_divisors(n))
+
+
 def frobenius_raw(field2, raw):
     """x -> x^q on a quadratic extension F_q[u]/(u^2 - n): c0 + c1 u -> c0 - c1 u."""
     c0, c1 = raw

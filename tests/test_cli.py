@@ -5,21 +5,29 @@ code instead of raising SystemExit, so stdout/stderr can be captured
 and compared byte for byte.
 """
 
+import gc
+import io
 import json
+import weakref
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from halfjac import cli
-from halfjac.field import ff_make
+from halfjac import cli, errors
+from halfjac.field import element_from_json, ff_make
 from halfjac.jacobian import (
     CurvePoint,
     curve_make,
     double,
     embed_point,
+    enumerate_points,
     mumford_from_json,
     mumford_to_json,
+    parse_curve_spec,
 )
 from halfjac.theorems import TheoremReport
+
+import oracles
 
 C1_ARGS = ["--field", "7", "--alphas", "0,1,6"]
 C3_ARGS = ["--field", "7", "--alphas", "3,5,6"]
@@ -101,6 +109,33 @@ def test_halve_weierstrass_orders_are_4(capsys):
     assert code == 0
     data = json.loads(out)
     assert [e["order"] for e in data["halves"]] == [4, 4, 4, 4]
+
+def test_halve_orders_are_exact(capsys):
+    n0_parities = set()
+    for args in (C1_ARGS, C3_ARGS, G2_ARGS):
+        curve = curve_make(ff_make(7), [int(a) for a in args[3].split(",")])
+        for P in enumerate_points(curve)[:-1]:
+            point = "%d,%d" % (int(P.x), int(P.y))
+            code, out, err = run(capsys, ["halve"] + args + ["--point", point])
+            assert code == 0, err
+            data = json.loads(out)
+            curve2 = parse_curve_spec(data["curve"])
+            F2 = curve2.field
+            P2 = CurvePoint(curve2, element_from_json(F2, data["point"]["x"]),
+                            element_from_json(F2, data["point"]["y"]))
+            n0 = oracles.order_by_addition(embed_point(P2))
+            orders = [e["order"] for e in data["halves"]]
+            for e in data["halves"]:
+                h = mumford_from_json(curve2, {"U": e["U"], "V": e["V"]})
+                assert oracles.is_exact_order(h, e["order"])
+            # a half of order n0 exists exactly when n0 is odd, and is unique
+            assert orders.count(n0) == n0 % 2
+            n0_parities.add(n0 % 2)
+            if args is C3_ARGS and point == "0,1":
+                assert n0 == 3
+            if args is C1_ARGS and point == "4,2":
+                assert data["lifted"] and n0 == 4
+    assert n0_parities == {0, 1}
 
 
 # --- arith ---
@@ -233,6 +268,28 @@ def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, ["--help"])
     assert code == 0
     assert "halve" in out and "theorems" in out
+
+@pytest.mark.parametrize("argv, code", [
+    (["arith"] + C1_ARGS + ["order", '{"U": [0, 1], "V": []}'], 0),
+    (["halve"] + C3_ARGS + ["--point", "0,1", "--output", "table"], 0),
+    (["halve"] + C1_ARGS + ["--point", "3,1"], 1),
+    (["two-torsion"] + G2_ARGS, 1),
+], ids=["json", "table", "usage_error", "library_error"])
+def test_captured_streams_are_released(argv, code, monkeypatch):
+    # click caches a wrapper per sys.stdout / sys.stderr object in a weak
+    # dictionary whose value is the stream itself, which pins the stream
+    def fail(curve):
+        raise errors.CapExceeded("synthetic library error")
+
+    monkeypatch.setattr(cli, "two_torsion_classes", fail)
+    out, err = io.StringIO(), io.StringIO()
+    refs = [weakref.ref(out), weakref.ref(err)]
+    with redirect_stdout(out), redirect_stderr(err):
+        assert cli.main(argv) == code
+    assert (err if code else out).getvalue()
+    del out, err
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
 
 def test_bad_field_spec(capsys):
     code, _, err = run(capsys, ["halve", "--field", "6", "--alphas", "0,1,2",

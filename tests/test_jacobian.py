@@ -6,11 +6,13 @@ oracles.py on every point pair for several primes; all other frozen values
 """
 
 import itertools
+import math
 
 import pytest
 
-from halfjac import errors
+from halfjac import errors, jacobian
 from halfjac.field import ff_make, parse_element
+from halfjac.halving import lift_to_sqrt_field
 from halfjac.poly import NEG_INFINITY, Polynomial, from_roots
 from halfjac.jacobian import (
     CurvePoint,
@@ -235,6 +237,44 @@ def test_order_2g_plus_1_on_g2_curve():
 def test_order_cap():
     with pytest.raises(errors.CapExceeded):
         order(embed_point(CurvePoint(C1, 4, 2)), cap=1)
+
+ORDER_GROUPS = [C1, C3, curve_make(F11, [0, 1, 2]), C2,
+                lift_to_sqrt_field(C1, CurvePoint(C1, 4, 2))[0]]
+
+@pytest.mark.parametrize("curve", ORDER_GROUPS,
+                         ids=["C1_F7", "C3_F7", "g1_F11", "C2_F7", "C1_F49"])
+def test_order_matches_linear_oracle(curve):
+    classes = enumerate_theta(curve, curve.g)
+    assert len(classes) > 1
+    for d in classes:
+        assert order(d) == oracles.order_by_addition(d)
+
+def test_order_cap_is_exact():
+    for d in enumerate_theta(C2, 2):
+        n = oracles.order_by_addition(d)
+        assert order(d, cap=n) == n
+        with pytest.raises(errors.CapExceeded):
+            order(d, cap=n - 1)
+
+def test_order_takes_sqrt_many_additions(monkeypatch):
+    F101 = ff_make(101)
+    curve = curve_make(F101, [4, 7, 11, 27, 64])
+    curve2, P2 = lift_to_sqrt_field(curve, CurvePoint(curve, 1, 79))
+    assert curve2.field.q == 101 ** 2
+    d = embed_point(P2)
+    real_add = jacobian.add
+    calls = []
+
+    def counting_add(d1, d2):
+        calls.append(None)
+        return real_add(d1, d2)
+
+    monkeypatch.setattr(jacobian, "add", counting_add)
+    n = order(d)
+    monkeypatch.undo()
+    assert n == 620
+    assert oracles.is_exact_order(d, n)
+    assert len(calls) <= 2 * math.ceil(math.sqrt(2 * n))
 
 def test_weil_cap_frozen():
     assert weil_cap(C1) == 13           # floor((sqrt 7 + 1)^2)
