@@ -18,7 +18,13 @@ import sys
 import click
 
 from .errors import HalfjacError, SquareRootMissing
-from .field import element_to_json, parse_element, field_spec
+from .field import (
+    element_to_json,
+    field_spec,
+    parse_element,
+    split_element_list,
+    sqrt,
+)
 from .halving import halve_point, lift_to_sqrt_field
 from .jacobian import (
     CurvePoint,
@@ -35,7 +41,6 @@ from .jacobian import (
     parse_curve_spec,
     scalar_mul,
     two_torsion_classes,
-    _split_top_level,
 )
 from .poly import poly_to_json
 from .theorems import run_battery
@@ -65,7 +70,30 @@ _OUTPUT = click.option("--output", type=click.Choice(["json", "table"]),
                        help="Machine-readable JSON or a plain listing.")
 
 
-@click.group()
+def _show_help(ctx, param, value):
+    if value and not ctx.resilient_parsing:
+        click.echo(ctx.get_help(), color=ctx.color, file=sys.stdout)
+        ctx.exit()
+
+
+class _Command(click.Command):
+    """A command whose --help writes to the sys.stdout of the moment.
+
+    click's own help callback echoes with no file=, through a cache that
+    keeps every sys.stdout it has seen alive for the life of the process."""
+
+    def get_help_option(self, ctx):
+        option = super().get_help_option(ctx)
+        if option is not None:
+            option.callback = _show_help
+        return option
+
+
+class _Group(_Command, click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
 def cli():
     """Exact division by 2 on Jacobians of odd-degree hyperelliptic curves."""
 
@@ -86,7 +114,7 @@ def halve(field_text, alphas_text, point_text, no_lift, output):
         raise click.ClickException(
             "the point at infinity is the identity; its halves are the "
             "two-torsion classes, see the two-torsion subcommand")
-    parts = _split_top_level(point_text)
+    parts = split_element_list(point_text)
     if len(parts) != 2:
         raise click.ClickException("--point expects x,y or x,?")
     try:
@@ -95,7 +123,6 @@ def halve(field_text, alphas_text, point_text, no_lift, output):
         raise click.ClickException(str(e))
     fx = curve.f.eval(x)
     if parts[1].strip() == "?":
-        from .field import sqrt
         pair = sqrt(fx)
         if pair is None:
             raise click.ClickException(
@@ -126,10 +153,11 @@ def halve(field_text, alphas_text, point_text, no_lift, output):
         raise click.ClickException(
             "%s (rerun without --no-lift to allow the extension)" % e)
     # 2h = target, so ord(h) is n0 or 2n0. It is n0 only when n0 is odd and
-    # h = ((n0 + 1)/2) * 2h, and exactly one half equals that class.
-    target = embed_point(P2)
-    n0 = order(target)
-    odd_half = scalar_mul((n0 + 1) // 2, target) if n0 % 2 else None
+    # h = ((n0 + 1)/2) * 2h, and exactly one half equals that class. P is
+    # rational over the input field and J(F_q) is a subgroup of J(F_q^2),
+    # so n0 is taken on the input curve, in its cheaper arithmetic.
+    n0 = order(embed_point(P))
+    odd_half = scalar_mul((n0 + 1) // 2, embed_point(P2)) if n0 % 2 else None
     entries = []
     for h in halves:
         n = n0 if h.mumford == odd_half else 2 * n0

@@ -608,6 +608,31 @@ def _raw_text(F, raw, nested):
     return "(%s)" % text if nested else text
 
 
+def element_text(a):
+    """a as one entry of a comma-separated element list: extension
+    elements in parentheses, so the list splits on top-level commas."""
+    return _raw_text(a.field, a.raw, nested=True)
+
+
+def split_element_list(text):
+    """Split an element list on the commas that are not inside parentheses."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ValueError("unbalanced parentheses in %r" % text)
+        elif ch == "," and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    if depth != 0:
+        raise ValueError("unbalanced parentheses in %r" % text)
+    parts.append(text[start:])
+    return parts
+
+
 def parse_element(F, text):
     """Parse 'c0,c1,...' (optionally parenthesized) into an element of F.
 

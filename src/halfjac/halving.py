@@ -29,8 +29,10 @@ a is a root of f and the last one otherwise, takes the sign that makes
 the product -b.
 """
 
+import itertools
+
 from . import errors
-from .field import quadratic_extension, sqrt
+from .field import is_square, quadratic_extension, sqrt
 from .poly import Polynomial, symmetric_functions
 from .jacobian import CurvePoint, MumfordDivisor, curve_make
 
@@ -125,7 +127,6 @@ def lift_to_sqrt_field(curve, P):
     always succeeds."""
     if P.is_infinity:
         raise errors.PointAtInfinity("nothing to lift for the point at infinity")
-    from .field import is_square
     a = P.x
     if all(is_square(a - alpha) for alpha in curve.alphas):
         return curve, P
@@ -140,19 +141,12 @@ def _mumford_from_signs(curve, a, r):
     g = curve.g
     s = symmetric_functions(r, field)            # s[k-1] holds s_k
     amx = Polynomial(field, [a, field(-1)])      # a - x
-    powers = [Polynomial.one(field)]
-    for _ in range(g):
-        powers.append(powers[-1] * amx)
-    sign = field(-1) if g % 2 else field.one()
-
-    U = powers[g]
-    for j in range(1, g + 1):
-        U = U + powers[g - j] * s[2 * j - 1]
-    U = U * sign
-    V = Polynomial.zero(field)
-    for j in range(1, g + 1):
-        V = V + powers[g - j] * (s[2 * j] - s[0] * s[2 * j - 1])
-    return U, V, s[0]
+    # both as polynomials in t = a - x (coefficients of t^0..t^g), then
+    # composed with a - x by Horner
+    pu = Polynomial(field, [s[2 * j - 1] for j in range(g, 0, -1)] + [field.one()])
+    pv = Polynomial(field, [s[2 * j] - s[0] * s[2 * j - 1] for j in range(g, 0, -1)])
+    U = pu.compose(amx)
+    return (-U if g % 2 else U), pv.compose(amx), s[0]
 
 
 def half_from_signs(sv):
@@ -193,8 +187,8 @@ def recover_signs(curve, U, V):
     w_i = V(alpha_i)/U(alpha_i) when the characteristic does not divide
     g, and otherwise from the two-index formula on the first lexicographic
     pair (i, l) with w_i != w_l. Then r_i = s_1 + (-1)^g w_i, the point is
-    a = r_i^2 + alpha_i, b = -prod r_i, and the pair must rebuild to
-    exactly (U, V)."""
+    a = r_1^2 + alpha_1, b = -prod r_i, SignVector checks that every
+    r_i^2 + alpha_i is a, and the pair must rebuild to exactly (U, V)."""
     field = curve.field
     g = curve.g
     if U.field != field or V.field != field:
@@ -211,29 +205,18 @@ def recover_signs(curve, U, V):
     sign = field(-1) if g % 2 else field.one()
 
     if g % field.p != 0:
-        total = field.zero()
-        for wi in w:
-            total = total + wi
-        s1 = (-sign) * total / field(2 * g)      # (-1)^(g+1) sum / 2g
+        s1 = (-sign) * sum(w, field.zero()) / field(2 * g)   # (-1)^(g+1) sum / 2g
     else:
-        s1 = None
-        for i in range(len(w)):
-            for l in range(i + 1, len(w)):
-                if w[i] != w[l]:
-                    num = (curve.alphas[l] + w[l] * w[l]) \
-                        - (curve.alphas[i] + w[i] * w[i])
-                    s1 = sign * num / (field(2) * (w[i] - w[l]))
-                    break
-            if s1 is not None:
-                break
-        if s1 is None:
+        pair = next(((i, l) for i, l in itertools.combinations(range(len(w)), 2)
+                     if w[i] != w[l]), None)
+        if pair is None:
             raise errors.NotAHalf("all ratios V(alpha_i)/U(alpha_i) coincide")
+        i, l = pair
+        num = (curve.alphas[l] + w[l] * w[l]) - (curve.alphas[i] + w[i] * w[i])
+        s1 = sign * num / (field(2) * (w[i] - w[l]))
 
     r = tuple(s1 + sign * wi for wi in w)
     a = r[0] * r[0] + curve.alphas[0]
-    for ri, alpha in zip(r, curve.alphas):
-        if ri * ri + alpha != a:
-            raise errors.NotAHalf("coordinates do not agree on the point")
     prod = field.one()
     for ri in r:
         prod = prod * ri

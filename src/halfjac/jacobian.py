@@ -19,9 +19,15 @@ import itertools
 import math
 
 from . import errors
-from .field import field_spec, parse_element, parse_field_spec, sqrt
+from .field import (
+    element_text,
+    field_spec,
+    parse_element,
+    parse_field_spec,
+    split_element_list,
+    sqrt,
+)
 from .poly import (
-    NEG_INFINITY,
     Polynomial,
     from_roots,
     gcd_xgcd,
@@ -388,34 +394,9 @@ def enumerate_points(curve):
     return pts
 
 
-def _element_text(a):
-    if a.field.k == 1:
-        return str(a)
-    return "(%s)" % a
-
-
-def _split_top_level(text):
-    """Split on commas that are not inside parentheses."""
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError("unbalanced parentheses in %r" % text)
-        elif ch == "," and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    if depth != 0:
-        raise ValueError("unbalanced parentheses in %r" % text)
-    parts.append(text[start:])
-    return parts
-
-
 def curve_spec(curve):
     """Text form `field=<fieldspec>;alphas=a1,a2,...`."""
-    alphas = ",".join(_element_text(a) for a in curve.alphas)
+    alphas = ",".join(element_text(a) for a in curve.alphas)
     return "field=%s;alphas=%s" % (field_spec(curve.field), alphas)
 
 
@@ -428,7 +409,7 @@ def parse_curve_spec(text):
     alpha_text = parts[1][len("alphas="):]
     if not alpha_text:
         raise ValueError("empty alphas list")
-    alphas = [parse_element(field, t) for t in _split_top_level(alpha_text)]
+    alphas = [parse_element(field, t) for t in split_element_list(alpha_text)]
     return curve_make(field, alphas)
 
 

@@ -12,7 +12,7 @@ returned by gcd_xgcd are monic, so gcd results are canonical.
 """
 
 from . import errors
-from .field import FieldElement, element_from_json, element_to_json
+from .field import FieldElement, element_from_json, element_text, element_to_json
 
 
 class _NegInfinity:
@@ -263,13 +263,12 @@ class Polynomial:
     def __str__(self):
         if not self.coeffs:
             return "0"
-        prime = self.field.k == 1
         parts = []
         for i in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[i]
             if c.is_zero():
                 continue
-            ctext = str(c) if prime else "(%s)" % c
+            ctext = element_text(c)
             if i == 0:
                 parts.append(ctext)
             else:

@@ -8,7 +8,9 @@ All checks return a TheoremReport whose violations list is empty
 exactly when every examined instance behaved as predicted.  Errors are
 reserved for preconditions (wrong genus, characteristic dividing the
 degree, a curve that does not exist over the requested field), never
-for mathematical surprises.
+for mathematical surprises. The order statements use the library's
+order() with the bound as its cap, and the halving check uses
+halve_point, so the battery exercises the same code that users call.
 
 The statements exercised here:
 
@@ -30,23 +32,22 @@ The statements exercised here:
 import itertools
 import time
 
-from .errors import CharacteristicDividesDegree, DoesNotSplit
+from .errors import CapExceeded, CharacteristicDividesDegree, DoesNotSplit
 from .field import field_spec, parse_element, parse_field_spec
 from .halving import halve_point, lift_to_sqrt_field
 from .jacobian import (
     CurvePoint,
     MumfordDivisor,
-    add,
-    curve_make,
+    curve_from_coeffs,
     curve_spec,
     double,
     embed_point,
     enumerate_points,
     enumerate_theta,
     mumford_to_json,
+    order,
     parse_curve_spec,
 )
-from .poly import Polynomial, roots_in_field
 
 
 class TheoremReport:
@@ -93,14 +94,12 @@ class TheoremReport:
             self.instances_checked, state)
 
 
-def _first_annihilator(d, bound):
-    """Smallest n in [1, bound] with n*d = 0, or None if there is none."""
-    acc = d
-    for n in range(1, bound + 1):
-        if acc.is_identity():
-            return n
-        acc = add(acc, d)
-    return None
+def _order_at_most(d, bound):
+    """The order of d when it is at most bound, else None."""
+    try:
+        return order(d, cap=bound)
+    except CapExceeded:
+        return None
 
 
 def check_small_order_absence(curve):
@@ -111,7 +110,7 @@ def check_small_order_absence(curve):
     violations = []
     points = enumerate_points(curve)
     for P in points:
-        n = _first_annihilator(embed_point(P), 2 * curve.g)
+        n = _order_at_most(embed_point(P), 2 * curve.g)
         if n is not None and n >= 3:
             violations.append({"point": str(P), "order": n})
     return TheoremReport("small_order_absence", curve_spec(curve),
@@ -119,24 +118,16 @@ def check_small_order_absence(curve):
                          time.perf_counter() - start)
 
 
-def _multiplicative_order(a):
-    acc = a
-    one = a.field.one()
-    for n in range(1, a.field.q):
-        if acc == one:
-            return n
-        acc = acc * a
-    raise RuntimeError("element of a finite field has finite order")
-
-
 def _splitting_degree(field, n, c):
-    """Minimal d with x^n - c split over the degree-d extension (p does not divide n)."""
-    m = _multiplicative_order(c)
-    for d in range(1, 10000):
-        ext_units = field.q ** d - 1
-        if ext_units % n == 0 and (ext_units // n) % m == 0:
-            return d
-    raise RuntimeError("no splitting degree found below 10000")
+    """Minimal d with x^n - c split over the degree-d extension (p does not divide n).
+
+    That is the least d with n | q^d - 1 and c^((q^d - 1)/n) = 1: the
+    extension then holds the n-th roots of unity and an n-th root of c.
+    It exists because q is invertible modulo n times the order of c."""
+    d = 1
+    while (field.q ** d - 1) % n or c ** ((field.q ** d - 1) // n) != field.one():
+        d += 1
+    return d
 
 
 def check_order_2g_plus_1(field, g, b):
@@ -149,17 +140,15 @@ def check_order_2g_plus_1(field, g, b):
     if n % field.p == 0:
         raise CharacteristicDividesDegree(
             "characteristic %d divides 2g + 1 = %d" % (field.p, n))
-    c = -(b * b)
-    coeffs = [-c] + [field.zero()] * (n - 1) + [field.one()]
-    fpoly = Polynomial(field, coeffs)            # x^n + b^2
-    found = roots_in_field(fpoly)
-    if sum(mult for _, mult in found) < n:
+    # x^n + b^2 is squarefree: its derivative n x^(n-1) vanishes only at 0
+    try:
+        curve = curve_from_coeffs(field, [b * b] + [0] * (n - 1) + [1])
+    except DoesNotSplit:
         raise DoesNotSplit(
             "x^%d + b^2 does not split over %s; it splits over the extension "
-            "of degree %d" % (n, field_spec(field), _splitting_degree(field, n, c)))
-    curve = curve_make(field, [r for r, _ in found])
-    P = CurvePoint(curve, field.zero(), b)
-    got = _first_annihilator(embed_point(P), 2 * n)
+            "of degree %d" % (n, field_spec(field),
+                              _splitting_degree(field, n, -(b * b)))) from None
+    got = _order_at_most(embed_point(CurvePoint(curve, field.zero(), b)), 2 * n)
     violations = []
     if got != n:
         violations.append({"expected_order": n, "first_annihilator": got})
@@ -188,15 +177,16 @@ def check_notheta(curve, budget=4096):
         sample = theta[::stride]
     else:
         sample = theta
+    # the g = 2 intersection below needs the double of every class
+    doubles = {a: double(a) for a in (theta if curve.g == 2 else sample)}
     violations = []
     for a in sample:
-        twice = double(a)
+        twice = doubles[a]
         if twice.U.degree <= 1 and not twice.is_identity():
             violations.append({"class": mumford_to_json(a),
                                "double": mumford_to_json(twice)})
     if curve.g == 2:
-        theta_set = set(theta)
-        stays = {a for a in theta if double(a) in theta_set}
+        stays = {a for a, twice in doubles.items() if twice in doubles}
         expected = {MumfordDivisor.identity(curve)}
         for alpha in curve.alphas:
             expected.add(embed_point(CurvePoint(curve, alpha,
@@ -278,8 +268,25 @@ def _default_config():
 
 DEFAULT_CONFIG = _default_config()
 
-_CHECK_ORDER = ("small_order_absence", "notheta", "order_2g_plus_1",
-                "two_torsion_halving")
+
+def _order_entry(entry):
+    if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+        raise ValueError("order_2g_plus_1 entries are [field, g, b] triples")
+    field = parse_field_spec(str(entry[0]))
+    return check_order_2g_plus_1(field, int(entry[1]),
+                                 parse_element(field, str(entry[2])))
+
+
+# Each check name, in battery order, with its run on one config entry. The
+# checks are looked up when they run, so wrappers put on this module apply.
+_CHECKS = {
+    "small_order_absence":
+        lambda spec: check_small_order_absence(parse_curve_spec(spec)),
+    "notheta": lambda spec: check_notheta(parse_curve_spec(spec)),
+    "order_2g_plus_1": _order_entry,
+    "two_torsion_halving":
+        lambda spec: check_two_torsion_halving(parse_curve_spec(spec)),
+}
 
 
 def run_battery(config=None):
@@ -291,25 +298,8 @@ def run_battery(config=None):
     """
     if config is None:
         config = DEFAULT_CONFIG
-    unknown = set(config) - set(_CHECK_ORDER)
+    unknown = set(config) - set(_CHECKS)
     if unknown:
         raise ValueError("unknown checks in config: %s" % ", ".join(sorted(unknown)))
-    reports = []
-    for key in _CHECK_ORDER:
-        for entry in config.get(key, []):
-            if key == "order_2g_plus_1":
-                if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-                    raise ValueError(
-                        "order_2g_plus_1 entries are [field, g, b] triples")
-                field = parse_field_spec(str(entry[0]))
-                b = parse_element(field, str(entry[2]))
-                reports.append(check_order_2g_plus_1(field, int(entry[1]), b))
-            else:
-                curve = parse_curve_spec(entry)
-                if key == "small_order_absence":
-                    reports.append(check_small_order_absence(curve))
-                elif key == "notheta":
-                    reports.append(check_notheta(curve))
-                else:
-                    reports.append(check_two_torsion_halving(curve))
-    return reports
+    return [check(entry) for name, check in _CHECKS.items()
+            for entry in config.get(name, [])]

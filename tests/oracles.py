@@ -152,6 +152,20 @@ def order_by_addition(d, cap=None):
     return n
 
 
+def splitting_degree_by_order(field, n, c):
+    """Least d with x^n - c split over the degree-d extension of field, from
+    the multiplicative order m of c found one power at a time: the least d
+    with n | q^d - 1 and m | (q^d - 1)/n (p must not divide n)."""
+    m, acc = 1, c
+    while acc != field.one():
+        acc = acc * c
+        m += 1
+    d = 1
+    while (field.q ** d - 1) % n or ((field.q ** d - 1) // n) % m:
+        d += 1
+    return d
+
+
 def prime_divisors(n):
     """The distinct primes dividing n >= 1, by trial division."""
     out, m = [], 2

@@ -77,6 +77,19 @@ def test_halve_auto_lift(capsys):
     assert data["field"].startswith("7^2")
     assert len(data["halves"]) == 4
 
+def test_halve_takes_the_point_order_on_the_input_curve(capsys, monkeypatch):
+    real, fields = cli.order, []
+
+    def spy(d, cap=None):
+        fields.append(d.curve.field)
+        return real(d, cap)
+
+    monkeypatch.setattr(cli, "order", spy)
+    code, out, err = run(capsys, ["halve"] + C1_ARGS + ["--point", "4,2"])
+    assert code == 0, err
+    assert json.loads(out)["lifted"] is True
+    assert fields == [ff_make(7)]
+
 def test_halve_no_lift_error(capsys):
     code, _, err = run(capsys,
                        ["halve"] + C1_ARGS + ["--point", "4,2", "--no-lift"])
@@ -274,7 +287,9 @@ def test_help_exits_zero(capsys):
     (["halve"] + C3_ARGS + ["--point", "0,1", "--output", "table"], 0),
     (["halve"] + C1_ARGS + ["--point", "3,1"], 1),
     (["two-torsion"] + G2_ARGS, 1),
-], ids=["json", "table", "usage_error", "library_error"])
+    (["--help"], 0),
+    (["halve", "--help"], 0),
+], ids=["json", "table", "usage_error", "library_error", "help", "command_help"])
 def test_captured_streams_are_released(argv, code, monkeypatch):
     # click caches a wrapper per sys.stdout / sys.stderr object in a weak
     # dictionary whose value is the stream itself, which pins the stream

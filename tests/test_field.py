@@ -19,6 +19,7 @@ from halfjac.field import (
     FiniteField,
     _is_prime,
     element_from_json,
+    element_text,
     element_to_json,
     ff_make,
     field_spec,
@@ -26,6 +27,7 @@ from halfjac.field import (
     parse_element,
     parse_field_spec,
     quadratic_extension,
+    split_element_list,
     sqrt,
 )
 
@@ -367,6 +369,15 @@ def test_parse_element():
 def test_element_text():
     assert str(F7(5)) == "5"
     assert str(FieldElement(F49, (5, 3))) == "5,3"
+    assert element_text(F7(5)) == "5"
+    assert element_text(FieldElement(F49, (5, 3))) == "(5,3)"
+    tower = F81T.element_at(77)
+    assert element_text(tower) == "(%s)" % tower
+    assert split_element_list("(5,3),2,%s" % element_text(tower)) == \
+        ["(5,3)", "2", element_text(tower)]
+    for bad in ("(5,3", "5,3)", ")(,"):
+        with pytest.raises(ValueError):
+            split_element_list(bad)
 
 def test_element_json_round_trip():
     assert element_to_json(F7(5)) == 5

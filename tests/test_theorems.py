@@ -15,6 +15,7 @@ from halfjac.field import ff_make
 from halfjac.jacobian import curve_make, enumerate_points, enumerate_theta, parse_curve_spec
 from halfjac.theorems import (
     DEFAULT_CONFIG,
+    _splitting_degree,
     TheoremReport,
     check_notheta,
     check_order_2g_plus_1,
@@ -23,6 +24,8 @@ from halfjac.theorems import (
     matrix_curves,
     run_battery,
 )
+
+import oracles
 
 F7 = ff_make(7)
 F11 = ff_make(11)
@@ -101,6 +104,16 @@ def test_order_2g_plus_1_does_not_split():
     with pytest.raises(errors.DoesNotSplit) as info:
         check_order_2g_plus_1(F7, 1, 3)        # -9 = 5 is not a cube mod 7
     assert "degree 3" in str(info.value)
+
+def test_splitting_degree_matches_multiplicative_order():
+    for F in (F7, F11, F13):
+        for n in (3, 5, 7, 9):
+            if n % F.p == 0:
+                continue
+            for c in F.elements():
+                if not c.is_zero():
+                    assert _splitting_degree(F, n, c) == \
+                        oracles.splitting_degree_by_order(F, n, c), (F.p, n, c)
 
 def test_order_2g_plus_1_rejects_zero_b():
     with pytest.raises(ValueError):
