@@ -9,7 +9,8 @@ Elements are immutable wrappers around a canonical raw value: an int in
 [0, p) for prime fields, a fixed-length tuple of base raws for extensions
 (polynomial basis, little-endian). All operations are pure; fields compare
 structurally, so independently built copies of the same field interoperate.
-No other module reads or builds raws.
+Besides this module only poly reads and builds raws: polynomials hold raw
+coefficient tuples and run their arithmetic through the _r* methods below.
 
 Building a FiniteField picks its raw arithmetic from its shape, once:
 

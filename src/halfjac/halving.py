@@ -104,21 +104,35 @@ def sqrt_choices(curve, P):
             raise errors.SquareRootMissing(i)
         roots.append(rr[0])
 
+    # Every choice has (prod r_i)^2 = f(a) = b^2, so prod r_i = +-b, and
+    # each flipped sign negates it: the parity of the mask alone decides
+    # whether r_rest must take its other sign to make the product -b.
+    prod = field.one()
+    for x in roots:
+        prod = prod * x
+    even_gives_target = prod == -b
+    negs = [-x for x in roots]
     free = [i for i in range(n) if i != rest]
     m = len(free)
-    target = -b
     out = []
     for mask in range(1 << m):
         r = list(roots)
-        prod = field.one()
         for k, i in enumerate(free):
             if (mask >> (m - 1 - k)) & 1:
-                r[i] = -r[i]
-            prod = prod * r[i]
-        if prod * r[rest] != target:
-            r[rest] = -r[rest]
-        out.append(SignVector(curve, P, r))
+                r[i] = negs[i]
+        if bool(mask.bit_count() & 1) == even_gives_target:
+            r[rest] = negs[rest]
+        out.append(_sign_vector(curve, P, r))
     return out
+
+
+def _sign_vector(curve, point, r):
+    """A SignVector without the constructor's checks, for sqrt_choices:
+    its r_i are verified square roots with prod r_i = -b by construction,
+    and the certificate in half_from_signs proves each half anyway."""
+    sv = SignVector.__new__(SignVector)
+    sv.curve, sv.point, sv.r = curve, point, tuple(r)
+    return sv
 
 
 def lift_to_sqrt_field(curve, P):

@@ -1,10 +1,15 @@
 """Dense univariate polynomials over a finite field.
 
-Coefficients are stored little-endian (index i holds the coefficient of
-x^i) with trailing zeros stripped, so the representation of each
-polynomial is unique and equality is structural. The zero polynomial has
-the empty coefficient tuple and its degree is the NEG_INFINITY sentinel,
-which compares below every integer and refuses arithmetic.
+A Polynomial holds its field and a tuple of canonical raw coefficients
+(see field.py), little-endian (index i holds the coefficient of x^i) with
+trailing zeros stripped, so the representation of each polynomial is
+unique and equality is structural. The zero polynomial has the empty
+tuple and its degree is the NEG_INFINITY sentinel, which compares below
+every integer and refuses arithmetic.
+
+The ring arithmetic runs on the raw tuples through the field's _r*
+methods and builds its results unchecked; only the public constructor
+coerces. Coefficients leave as FieldElements, built on access.
 
 Division, extended gcd, root finding, and elementary symmetric functions
 are the pieces the group law and the halving formulas sit on. All gcds
@@ -66,19 +71,93 @@ class _NegInfinity:
 NEG_INFINITY = _NegInfinity()
 
 
-class Polynomial:
-    """Immutable dense polynomial with coefficients in one finite field."""
+# --- ring arithmetic on raw coefficient tuples ---
+#
+# Inputs are stripped tuples of canonical raws of the field F; every result
+# is one too. A product of nonzero polynomials over a field, and a nonzero
+# multiple of one, keep their leading coefficient nonzero, so only sums,
+# differences and remainders are stripped.
 
-    __slots__ = ("field", "coeffs")
+def _strip(cs, zero):
+    while cs and cs[-1] == zero:
+        cs.pop()
+    return tuple(cs)
+
+
+def _add(F, a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(map(F._radd, a, b))
+    if len(a) == len(b):
+        return _strip(out, F._zero_raw)
+    return tuple(out) + a[len(b):]
+
+
+def _sub(F, a, b):
+    out = list(map(F._rsub, a, b))
+    if len(a) > len(b):
+        return tuple(out) + a[len(b):]
+    if len(a) < len(b):
+        return tuple(out) + tuple(map(F._rneg, b[len(a):]))
+    return _strip(out, F._zero_raw)
+
+
+def _scale(F, a, c):
+    """a times the nonzero c."""
+    rmul = F._rmul
+    return tuple([rmul(c, x) for x in a])
+
+
+def _mul(F, a, b):
+    if not a or not b:
+        return ()
+    radd, rmul, zero = F._radd, F._rmul, F._zero_raw
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca == zero:
+            continue
+        for j, cb in enumerate(b, i):
+            out[j] = radd(out[j], rmul(ca, cb))
+    return tuple(out)
+
+
+def _divrem(F, a, b):
+    """(quotient, remainder) of a by the nonzero b."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return (), a
+    rsub, rmul, zero = F._rsub, F._rmul, F._zero_raw
+    inv_lc = F._rinv(b[-1])
+    low = b[:db]
+    rem = list(a)
+    quot = [zero] * (len(a) - db)
+    for i in range(len(a) - db - 1, -1, -1):
+        c = rmul(rem[i + db], inv_lc)
+        if c == zero:
+            continue
+        quot[i] = c
+        for j, cb in enumerate(low, i):
+            rem[j] = rsub(rem[j], rmul(c, cb))
+    return tuple(quot), _strip(rem[:db], zero)
+
+
+def _eval(F, a, x):
+    radd, rmul = F._radd, F._rmul
+    acc = F._zero_raw
+    for c in reversed(a):
+        acc = radd(rmul(acc, x), c)
+    return acc
+
+
+class Polynomial:
+    """Immutable dense polynomial with coefficients in one finite field;
+    raws is the stripped little-endian tuple of canonical raw coefficients."""
+
+    __slots__ = ("field", "raws")
 
     def __init__(self, field, coeffs):
-        cs = []
-        for c in coeffs:
-            cs.append(field(c))
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        _set_field(self, field)
+        _set_raws(self, _strip([field(c).raw for c in coeffs], field._zero_raw))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -100,94 +179,82 @@ class Polynomial:
         return cls(element.field, [element])
 
     @property
+    def coeffs(self):
+        """The coefficients as FieldElements, little-endian."""
+        return tuple([FieldElement(self.field, c) for c in self.raws])
+
+    @property
     def degree(self):
-        if not self.coeffs:
+        if not self.raws:
             return NEG_INFINITY
-        return len(self.coeffs) - 1
+        return len(self.raws) - 1
 
     @property
     def leading_coeff(self):
-        if not self.coeffs:
+        if not self.raws:
             raise errors.ZeroPolynomial("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return FieldElement(self.field, self.raws[-1])
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.raws
 
     def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one()
+        return bool(self.raws) and self.raws[-1] == self.field._one_raw
 
     def make_monic(self):
-        if not self.coeffs:
+        if not self.raws:
             raise errors.ZeroPolynomial("cannot normalize the zero polynomial")
-        lc = self.coeffs[-1]
-        if lc == self.field.one():
+        if self.raws[-1] == self.field._one_raw:
             return self
-        c = lc.inv()
-        return Polynomial(self.field, [c * a for a in self.coeffs])
+        F = self.field
+        return _poly(F, _scale(F, self.raws, F._rinv(self.raws[-1])))
 
     def coefficient(self, i):
         """Coefficient of x^i, zero beyond the degree."""
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.raws):
+            return FieldElement(self.field, self.raws[i])
         return self.field.zero()
 
     def _coerce(self, other):
+        """The raws of other as a polynomial over this field; None when
+        other is not a polynomial, a field element or an int."""
         if isinstance(other, Polynomial):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise errors.FieldMismatch("polynomials over different fields")
-            return other
+            return other.raws
         if isinstance(other, (FieldElement, int)):
-            return Polynomial(self.field, [self.field(other)])
+            c = self.field(other).raw
+            return () if c == self.field._zero_raw else (c,)
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        b = self._coerce(other)
+        if b is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Polynomial(self.field, out)
+        return _poly(self.field, _add(self.field, self.raws, b))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.field, [-c for c in self.coeffs])
+        return _poly(self.field, tuple(map(self.field._rneg, self.raws)))
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        b = self._coerce(other)
+        if b is None:
             return NotImplemented
-        return self + (-other)
+        return _poly(self.field, _sub(self.field, self.raws, b))
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        b = self._coerce(other)
+        if b is None:
             return NotImplemented
-        return other + (-self)
+        return _poly(self.field, _sub(self.field, b, self.raws))
 
     def __mul__(self, other):
-        if isinstance(other, (FieldElement, int)):
-            c = self.field(other)
-            return Polynomial(self.field, [c * a for a in self.coeffs])
-        other = self._coerce(other)
-        if other is None:
+        b = self._coerce(other)
+        if b is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Polynomial.zero(self.field)
-        zero = self.field.zero()
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca.is_zero():
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] = out[i + j] + ca * cb
-        return Polynomial(self.field, out)
+        return _poly(self.field, _mul(self.field, self.raws, b))
 
     __rmul__ = __mul__
 
@@ -205,25 +272,13 @@ class Polynomial:
 
     def divrem(self, other):
         """Quotient and remainder with deg(remainder) < deg(other)."""
-        other = self._coerce(other)
-        if other is None:
+        b = self._coerce(other)
+        if b is None:
             raise TypeError("cannot divide by %r" % (other,))
-        if other.is_zero():
+        if not b:
             raise errors.DivisionByZero("polynomial division by zero")
-        if self.degree < other.degree:
-            return Polynomial.zero(self.field), self
-        inv_lc = other.coeffs[-1].inv()
-        db = len(other.coeffs) - 1
-        rem = list(self.coeffs)
-        quot = [self.field.zero()] * (len(rem) - db)
-        for i in range(len(rem) - db - 1, -1, -1):
-            c = rem[i + db] * inv_lc
-            if c.is_zero():
-                continue
-            quot[i] = c
-            for j, cb in enumerate(other.coeffs):
-                rem[i + j] = rem[i + j] - c * cb
-        return Polynomial(self.field, quot), Polynomial(self.field, rem[:db])
+        q, r = _divrem(self.field, self.raws, b)
+        return _poly(self.field, q), _poly(self.field, r)
 
     def __floordiv__(self, other):
         return self.divrem(other)[0]
@@ -232,40 +287,43 @@ class Polynomial:
         return self.divrem(other)[1]
 
     def eval(self, x0):
-        x0 = self.field(x0)
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x0 + c
-        return acc
+        F = self.field
+        return FieldElement(F, _eval(F, self.raws, F(x0).raw))
 
     def compose(self, other):
         """self(other(x)), by Horner in the polynomial ring."""
-        other = self._coerce(other)
-        if other is None:
+        b = self._coerce(other)
+        if b is None:
             raise TypeError("compose expects a polynomial")
-        acc = Polynomial.zero(self.field)
-        for c in reversed(self.coeffs):
-            acc = acc * other + Polynomial.constant(c)
-        return acc
+        F = self.field
+        acc = ()
+        for c in reversed(self.raws):
+            acc = _mul(F, acc, b)
+            if c != F._zero_raw:
+                acc = _add(F, acc, (c,))
+        return _poly(F, acc)
 
     def derivative(self):
-        return Polynomial(self.field,
-                          [self.field(i) * c for i, c in enumerate(self.coeffs)][1:])
+        F = self.field
+        out = [F._rmul(F._rfromint(i), c) for i, c in enumerate(self.raws)]
+        return _poly(F, _strip(out[1:], F._zero_raw))
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
-            return self.field == other.field and self.coeffs == other.coeffs
+            return self.raws == other.raws and (self.field is other.field
+                                                or self.field == other.field)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.raws))
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.raws:
             return "0"
         parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
+        coeffs = self.coeffs
+        for i in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[i]
             if c.is_zero():
                 continue
             ctext = element_text(c)
@@ -283,6 +341,22 @@ class Polynomial:
         return "Polynomial(%r, %s)" % (self.field, str(self))
 
 
+# Slot setters: they bypass Polynomial.__setattr__, which keeps the class
+# immutable from outside.
+_set_field = Polynomial.__dict__["field"].__set__
+_set_raws = Polynomial.__dict__["raws"].__set__
+_new_object = object.__new__
+
+
+def _poly(field, raws):
+    """Unchecked constructor: raws must be a stripped tuple of canonical
+    raws of field, as the ring arithmetic above returns."""
+    p = _new_object(Polynomial)
+    _set_field(p, field)
+    _set_raws(p, raws)
+    return p
+
+
 def divrem(a, b):
     return a.divrem(b)
 
@@ -291,27 +365,28 @@ def gcd_xgcd(a, b):
     """Monic gcd g and Bezout pair (s, t) with s*a + t*b = g."""
     if a.field != b.field:
         raise errors.FieldMismatch("gcd of polynomials over different fields")
-    field = a.field
-    r0, r1 = a, b
-    s0, s1 = Polynomial.one(field), Polynomial.zero(field)
-    t0, t1 = Polynomial.zero(field), Polynomial.one(field)
-    while not r1.is_zero():
-        q, r = r0.divrem(r1)
+    F = a.field
+    one = (F._one_raw,)
+    r0, r1 = a.raws, b.raws
+    s0, s1 = one, ()
+    t0, t1 = (), one
+    while r1:
+        q, r = _divrem(F, r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    c = r0.leading_coeff.inv()
-    return r0 * c, s0 * c, t0 * c
+        s0, s1 = s1, _sub(F, s0, _mul(F, q, s1))
+        t0, t1 = t1, _sub(F, t0, _mul(F, q, t1))
+    if r0:
+        c = F._rinv(r0[-1])
+        r0, s0, t0 = _scale(F, r0, c), _scale(F, s0, c), _scale(F, t0, c)
+    return _poly(F, r0), _poly(F, s0), _poly(F, t0)
 
 
 def from_roots(field, roots):
     """The monic polynomial whose roots (with multiplicity) are given."""
-    acc = Polynomial.one(field)
+    acc = (field._one_raw,)
     for r in roots:
-        acc = acc * Polynomial(field, [-field(r), field.one()])
-    return acc
+        acc = _mul(field, acc, (field._rneg(field(r).raw), field._one_raw))
+    return _poly(field, acc)
 
 
 def roots_in_field(a):
@@ -320,18 +395,18 @@ def roots_in_field(a):
     the cost is O(q * deg)."""
     if a.is_zero():
         raise errors.ZeroPolynomial("every element is a root of the zero polynomial")
-    field = a.field
+    F = a.field
     out = []
-    work = a
-    for x0 in field.elements():
-        if work.degree is NEG_INFINITY or work.degree == 0:
+    work = a.raws
+    for x0 in F.elements():
+        if len(work) <= 1:
             break
-        if work.eval(x0).is_zero():
-            lin = Polynomial(field, [-x0, field.one()])
+        if _eval(F, work, x0.raw) == F._zero_raw:
+            lin = (F._rneg(x0.raw), F._one_raw)
             mult = 0
             while True:
-                q, r = work.divrem(lin)
-                if not r.is_zero():
+                q, r = _divrem(F, work, lin)
+                if r:
                     break
                 work = q
                 mult += 1
@@ -348,12 +423,13 @@ def symmetric_functions(roots, field=None):
         if not roots:
             raise ValueError("empty input needs an explicit field")
         field = roots[0].field
-    e = [field.one()] + [field.zero()] * len(roots)
+    radd, rmul = field._radd, field._rmul
+    e = [field._one_raw] + [field._zero_raw] * len(roots)
     for m, r in enumerate(roots, start=1):
-        r = field(r)
+        r = field(r).raw
         for j in range(m, 0, -1):
-            e[j] = e[j] + r * e[j - 1]
-    return e[1:]
+            e[j] = radd(e[j], rmul(r, e[j - 1]))
+    return [FieldElement(field, c) for c in e[1:]]
 
 
 def poly_to_json(a):

@@ -125,6 +125,22 @@ def ext_mul(p, moduli, a, b):
     return tuple(prod[:k])
 
 
+def ext_poly_mul(p, moduli, a, b):
+    """Schoolbook product of polynomials with coefficients in the tower of
+    ext_mul, as little-endian lists of raw coefficients; trailing zero
+    coefficients are stripped from the result."""
+    if not a or not b:
+        return []
+    zero = _ext_add(p, a[0], a[0], -1)
+    prod = [zero] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] = _ext_add(p, prod[i + j], ext_mul(p, moduli, ai, bj))
+    while prod and prod[-1] == zero:
+        prod.pop()
+    return prod
+
+
 # --- dual-route helpers built on the package's public API ---
 
 def brute_halves(curve, target, classes):

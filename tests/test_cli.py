@@ -6,6 +6,7 @@ and compared byte for byte.
 """
 
 import gc
+import hashlib
 import io
 import json
 import weakref
@@ -38,6 +39,28 @@ def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# --- byte-identical output ---
+
+# stdout digests pinned when the polynomial layer moved to raw
+# coefficients; any change to an output byte changes them
+PINNED_STDOUT_SHA256 = [
+    (["theorems"],
+     "abe78bcf013ffd154a44a413ad0006a99272af1ac916dc8a8387a3c3b5f1c627"),
+    (["halve", "--field", "101", "--alphas", "4,7,11,27,64", "--point", "1,79"],
+     "d09257662a30d4155b53475d1da51c3b4f5b28f2d4eb0d2680ecf6763ede2c23"),
+    (["halve", "--field", "7", "--alphas", "0,1,6", "--point", "4,2"],
+     "dc5475eefe97222638d3e7b30e668e367b8c4565b5ee9c6a3be6b74b09e02e29"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_STDOUT_SHA256,
+                         ids=["theorems", "halve-p101", "halve-p7-lifted"])
+def test_stdout_is_byte_identical(capsys, argv, digest):
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # --- halve ---

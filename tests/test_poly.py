@@ -5,12 +5,13 @@ Hand-expanded expected values are frozen in the asserts (e.g. the product
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from halfjac import errors
-from halfjac.field import ff_make
+from halfjac.field import ff_make, quadratic_extension
 from halfjac.poly import (
     NEG_INFINITY,
     Polynomial,
@@ -23,10 +24,16 @@ from halfjac.poly import (
     symmetric_functions,
 )
 
+from oracles import ext_poly_mul
+
 F7 = ff_make(7)
 F5 = ff_make(5)
 F3 = ff_make(3)
 F49 = ff_make(7, [4, 0, 1])
+F49L = ff_make(7, [3, 1, 1])      # t^2 + t + 3: a pair field with a linear term
+F9 = ff_make(3, [1, 0, 1])
+F27 = ff_make(3, [1, 2, 0, 1])    # generic degree 3
+F81T, _ = quadratic_extension(F9)  # tower F_9[t]/(t^2 - n)
 
 
 def P(field, *coeffs):
@@ -149,6 +156,12 @@ def test_divrem_value_check():
 def test_divrem_by_zero():
     with pytest.raises(errors.DivisionByZero):
         divrem(P(F7, 1), Polynomial.zero(F7))
+
+def test_divrem_by_a_non_polynomial_names_the_operand():
+    with pytest.raises(TypeError, match=r"cannot divide by 'x \+ 1'"):
+        P(F7, 1, 1).divrem("x + 1")
+    with pytest.raises(TypeError, match=r"cannot divide by 2\.5"):
+        P(F7, 1, 1).divrem(2.5)
 
 def test_divrem_identity_exhaustive_small():
     polys = [Polynomial(F3, [a, b, c]) for a in range(3) for b in range(3) for c in range(3)]
@@ -275,6 +288,95 @@ def test_poly_over_extension_field():
     a = Polynomial(F49, [t, F49(1)])
     b = Polynomial(F49, [-t, F49(1)])
     assert a * b == Polynomial(F49, [-(t * t), F49(0), F49(1)])
+
+
+# --- every field shape: pairs with a linear term, degree 3, towers ---
+
+SHAPES = [(F49L, [F49L.modulus]), (F27, [F27.modulus]),
+          (F81T, [F9.modulus, F81T.modulus])]
+SHAPE_IDS = ["F49L", "F27", "F81T"]
+
+
+def random_polys(field, seed, count=30, max_degree=4):
+    """Deterministic polynomials over field; every fifth shares a factor
+    with its predecessor so that gcds are not all trivial."""
+    rng = random.Random(seed)
+
+    def draw(degree):       # nonzero, of exactly this degree
+        return Polynomial(field, [field.element_at(rng.randrange(field.q))
+                                  for _ in range(degree)]
+                          + [field.element_at(rng.randrange(1, field.q))])
+
+    out = [Polynomial.zero(field)]
+    for i in range(count):
+        a = draw(rng.randrange(max_degree + 1))
+        if i % 5 == 4:
+            a = a * draw(1) if out[-1].is_zero() else out[-1] * draw(1)
+        out.append(a)
+    return out
+
+
+def raws(a):
+    return [c.raw for c in a.coeffs]
+
+
+@pytest.mark.parametrize("field, moduli", SHAPES, ids=SHAPE_IDS)
+def test_product_matches_schoolbook_oracle(field, moduli):
+    polys = random_polys(field, 1)
+    for a, b in itertools.product(polys[:12], repeat=2):
+        assert raws(a * b) == ext_poly_mul(field.p, moduli, raws(a), raws(b))
+
+
+@pytest.mark.parametrize("field, moduli", SHAPES, ids=SHAPE_IDS)
+def test_divrem_identity_on_every_shape(field, moduli):
+    polys = random_polys(field, 2)
+    for a, b in itertools.product(polys, polys[1:]):
+        q, r = divrem(a, b)
+        assert q * b + r == a
+        assert r.degree < b.degree
+
+
+@pytest.mark.parametrize("field, moduli", SHAPES, ids=SHAPE_IDS)
+def test_gcd_monic_and_bezout_on_every_shape(field, moduli):
+    polys = random_polys(field, 3)
+    for a, b in zip(polys, polys[1:]):
+        g, s, t = gcd_xgcd(a, b)
+        assert s * a + t * b == g
+        if a.is_zero() and b.is_zero():
+            assert g.is_zero()
+            continue
+        assert g.is_monic()
+        assert (a % g).is_zero() and (b % g).is_zero()
+
+
+@pytest.mark.parametrize("field, moduli", SHAPES, ids=SHAPE_IDS)
+def test_eval_of_composition_on_every_shape(field, moduli):
+    polys = random_polys(field, 4, count=10)
+    points = [field.element_at(i) for i in range(0, field.q, 7)]
+    for a, b in zip(polys, polys[1:]):
+        c = a.compose(b)
+        for x0 in points:
+            assert c.eval(x0) == a.eval(b.eval(x0))
+
+
+# --- the raw layer never mixes fields whose raws look alike ---
+
+def test_field_mismatch_between_same_shape_fields():
+    a = Polynomial(F49, [F49.element_at(10), F49.element_at(8), 1])
+    b = Polynomial(F49L, [F49L.element_at(10), F49L.element_at(8), 1])
+    assert raws(a) == raws(b) and a != b
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: b - a,
+               lambda: a * F49L.element_at(8), lambda: a.divrem(b),
+               lambda: gcd_xgcd(a, b), lambda: a.compose(b)):
+        with pytest.raises(errors.FieldMismatch):
+            op()
+
+
+def test_constructor_rejects_elements_of_another_field():
+    with pytest.raises(errors.FieldMismatch):
+        Polynomial(F7, [F49.element_at(8)])
+    with pytest.raises(errors.FieldMismatch):
+        Polynomial(F49L, [F49.element_at(8)])
 
 
 # --- serialization ---
