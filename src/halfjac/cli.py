@@ -147,6 +147,11 @@ def halve(field_text, alphas_text, point_text, no_lift, output):
         curve2, P2 = curve, P
     else:
         curve2, P2 = lift_to_sqrt_field(curve, P)
+        if curve2 is not curve and field.base is not None:
+            raise click.ClickException(
+                "the halves need square roots outside %s, and its quadratic "
+                "extension is a tower field with no text form; the automatic "
+                "lift works only over a prime field" % field_spec(field))
     try:
         halves = halve_point(curve2, P2)
     except SquareRootMissing as e:

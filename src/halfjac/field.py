@@ -42,6 +42,7 @@ from .errors import (
     FieldMismatch,
     NotPrime,
     ReducibleModulus,
+    SelfCheckFailed,
 )
 
 
@@ -545,7 +546,7 @@ def _nonsquare_raw(F):
                 F._nonsquare = cand
                 break
         else:
-            raise AssertionError("no non-square found; field arithmetic is broken")
+            raise SelfCheckFailed("no non-square found; field arithmetic is broken")
     return F._nonsquare
 
 

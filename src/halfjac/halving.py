@@ -29,7 +29,7 @@ a is a root of f and the last one otherwise, takes the sign that makes
 the product -b.
 """
 
-import itertools
+import math
 
 from . import errors
 from .field import is_square, quadratic_extension, sqrt
@@ -50,10 +50,7 @@ class SignVector:
         for ri, alpha in zip(r, curve.alphas):
             if ri * ri != a - alpha:
                 raise ValueError("r_i^2 != a - alpha_i")
-        prod = curve.field.one()
-        for ri in r:
-            prod = prod * ri
-        if prod != -b:
+        if math.prod(r, start=curve.field.one()) != -b:
             raise ValueError("prod r_i != -b")
         # r_i != +-r_j needs no check: with r_i^2 = a - alpha_i it would
         # force alpha_i = alpha_j, which the curve already rejects.
@@ -107,10 +104,7 @@ def sqrt_choices(curve, P):
     # Every choice has (prod r_i)^2 = f(a) = b^2, so prod r_i = +-b, and
     # each flipped sign negates it: the parity of the mask alone decides
     # whether r_rest must take its other sign to make the product -b.
-    prod = field.one()
-    for x in roots:
-        prod = prod * x
-    even_gives_target = prod == -b
+    even_gives_target = math.prod(roots, start=field.one()) == -b
     negs = [-x for x in roots]
     free = [i for i in range(n) if i != rest]
     m = len(free)
@@ -197,12 +191,16 @@ def halve_point(curve, P):
 def recover_signs(curve, U, V):
     """Reconstruct (sign vector, point) from a half's Mumford pair.
 
-    s_1 comes from the trace identity 2g s_1 = (-1)^(g+1) sum_i w_i with
-    w_i = V(alpha_i)/U(alpha_i) when the characteristic does not divide
-    g, and otherwise from the two-index formula on the first lexicographic
-    pair (i, l) with w_i != w_l. Then r_i = s_1 + (-1)^g w_i, the point is
-    a = r_1^2 + alpha_1, b = -prod r_i, SignVector checks that every
-    r_i^2 + alpha_i is a, and the pair must rebuild to exactly (U, V)."""
+    A half has r_i = s_1 + sigma w_i with w_i = V(alpha_i)/U(alpha_i) and
+    sigma = (-1)^g. Subtracting r_2^2 = a - alpha_2 from r_1^2 = a - alpha_1
+    gives, in every odd characteristic,
+
+        s_1 = sigma ((alpha_2 + w_2^2) - (alpha_1 + w_1^2)) / (2 (w_1 - w_2)),
+
+    well defined because w_1 = w_2 would force r_1 = r_2 and so
+    alpha_1 = alpha_2. Then the point is a = r_1^2 + alpha_1,
+    b = -prod r_i, SignVector checks that every r_i^2 + alpha_i is a, and
+    the pair must rebuild to exactly (U, V)."""
     field = curve.field
     g = curve.g
     if U.field != field or V.field != field:
@@ -217,24 +215,14 @@ def recover_signs(curve, U, V):
 
     w = [V.eval(alpha) / ui for alpha, ui in zip(curve.alphas, u)]
     sign = field(-1) if g % 2 else field.one()
-
-    if g % field.p != 0:
-        s1 = (-sign) * sum(w, field.zero()) / field(2 * g)   # (-1)^(g+1) sum / 2g
-    else:
-        pair = next(((i, l) for i, l in itertools.combinations(range(len(w)), 2)
-                     if w[i] != w[l]), None)
-        if pair is None:
-            raise errors.NotAHalf("all ratios V(alpha_i)/U(alpha_i) coincide")
-        i, l = pair
-        num = (curve.alphas[l] + w[l] * w[l]) - (curve.alphas[i] + w[i] * w[i])
-        s1 = sign * num / (field(2) * (w[i] - w[l]))
+    (alpha1, alpha2), (w1, w2) = curve.alphas[:2], w[:2]
+    if w1 == w2:
+        raise errors.NotAHalf("V(alpha_i)/U(alpha_i) coincide on the first two roots")
+    s1 = sign * ((alpha2 + w2 * w2) - (alpha1 + w1 * w1)) / (field(2) * (w1 - w2))
 
     r = tuple(s1 + sign * wi for wi in w)
-    a = r[0] * r[0] + curve.alphas[0]
-    prod = field.one()
-    for ri in r:
-        prod = prod * ri
-    b = -prod
+    a = r[0] * r[0] + alpha1
+    b = -math.prod(r, start=field.one())
 
     try:
         point = CurvePoint(curve, a, b)

@@ -240,7 +240,7 @@ def neg(d):
 def _exact_div(a, b):
     q, r = a.divrem(b)
     if not r.is_zero():
-        raise RuntimeError("inexact division inside the group law; arithmetic bug")
+        raise errors.SelfCheckFailed("inexact division inside the group law; arithmetic bug")
     return q
 
 
@@ -358,20 +358,21 @@ def enumerate_theta(curve, d):
     """All classes whose reduced U has degree <= d, i.e. Theta_d(F_q).
 
     Scans monic U of each degree m <= d and all V with deg V < m, keeping
-    the pairs with V^2 = f mod U. Reduced representatives are unique, so
-    no deduplication is needed. d = g yields the whole group."""
+    the pairs where U divides f - V^2, with each f - V^2 built once per
+    degree. Reduced representatives are unique, so no deduplication is
+    needed. d = g yields the whole group."""
     if not 0 <= d <= curve.g:
         raise errors.DegreeOutOfRange("need 0 <= d <= %d, got %d" % (curve.g, d))
     field, f = curve.field, curve.f
     one = field.one()
     out = [MumfordDivisor.identity(curve)]
     for m in range(1, d + 1):
+        Vs = [Polynomial(field, vvec) for vvec in _coeff_vectors(field, m)]
+        candidates = [(V, f - V * V) for V in Vs]
         for uvec in _coeff_vectors(field, m):
             U = Polynomial(field, list(uvec) + [one])
-            fmod = f % U
-            for vvec in _coeff_vectors(field, m):
-                V = Polynomial(field, vvec)
-                if (V * V) % U == fmod:
+            for V, h in candidates:
+                if (h % U).is_zero():
                     out.append(MumfordDivisor(curve, U, V, validate=False))
     return out
 
@@ -401,6 +402,8 @@ def curve_spec(curve):
 
 
 def parse_curve_spec(text):
+    if not isinstance(text, str):
+        raise ValueError("curve spec must be a string, got %r" % (text,))
     parts = text.split(";")
     if len(parts) != 2 or not parts[0].startswith("field=") \
             or not parts[1].startswith("alphas="):

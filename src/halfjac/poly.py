@@ -4,8 +4,9 @@ A Polynomial holds its field and a tuple of canonical raw coefficients
 (see field.py), little-endian (index i holds the coefficient of x^i) with
 trailing zeros stripped, so the representation of each polynomial is
 unique and equality is structural. The zero polynomial has the empty
-tuple and its degree is the NEG_INFINITY sentinel, which compares below
-every integer and refuses arithmetic.
+tuple and its degree is the NEG_INFINITY sentinel: total_ordering
+derives its comparisons from __lt__ (below every int), and as it defines
+no arithmetic, NEG_INFINITY + 1 is a TypeError.
 
 The ring arithmetic runs on the raw tuples through the field's _r*
 methods and builds its results unchecked; only the public constructor
@@ -16,10 +17,13 @@ are the pieces the group law and the halving formulas sit on. All gcds
 returned by gcd_xgcd are monic, so gcd results are canonical.
 """
 
+import functools
+
 from . import errors
 from .field import FieldElement, element_from_json, element_text, element_to_json
 
 
+@functools.total_ordering
 class _NegInfinity:
     """Degree of the zero polynomial. Below every int, no arithmetic."""
 
@@ -32,37 +36,11 @@ class _NegInfinity:
             return True
         return NotImplemented
 
-    def __le__(self, other):
-        if isinstance(other, (_NegInfinity, int, float)):
-            return True
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, (_NegInfinity, int, float)):
-            return False
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, _NegInfinity):
-            return True
-        if isinstance(other, (int, float)):
-            return False
-        return NotImplemented
-
     def __eq__(self, other):
         return isinstance(other, _NegInfinity)
 
     def __hash__(self):
         return hash("NEG_INFINITY")
-
-    def __add__(self, other):
-        raise TypeError("NEG_INFINITY does not support arithmetic")
-
-    __radd__ = __add__
-    __sub__ = __add__
-    __rsub__ = __add__
-    __mul__ = __add__
-    __rmul__ = __add__
 
     def __repr__(self):
         return "NEG_INFINITY"

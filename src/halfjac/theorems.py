@@ -298,8 +298,13 @@ def run_battery(config=None):
     """
     if config is None:
         config = DEFAULT_CONFIG
+    if not isinstance(config, dict):
+        raise ValueError("config must map check names to instance lists")
     unknown = set(config) - set(_CHECKS)
     if unknown:
         raise ValueError("unknown checks in config: %s" % ", ".join(sorted(unknown)))
+    for name, entries in config.items():
+        if not isinstance(entries, (list, tuple)):
+            raise ValueError("instances of %s must be a list" % name)
     return [check(entry) for name, check in _CHECKS.items()
             for entry in config.get(name, [])]

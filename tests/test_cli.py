@@ -119,6 +119,19 @@ def test_halve_no_lift_error(capsys):
     assert code == 1
     assert "not a square" in err
 
+@pytest.mark.parametrize("output", ["json", "table"])
+def test_halve_lift_over_an_extension_field_is_refused(capsys, output):
+    # at x = t neither t - 1 nor t - 6 is a square in F_49, and the lift
+    # would be a tower field, which has no text form
+    code, out, err = run(capsys, ["halve", "--field", "7^2:4,0",
+                                  "--alphas", "(0,0),(1,0),(6,0)",
+                                  "--point", "(0,1),(4,2)",
+                                  "--output", output])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("Error: ") and "prime field" in err
+    assert "Traceback" not in err
+
 def test_halve_solve_for_y(capsys):
     code, out, _ = run(capsys, ["halve"] + C1_ARGS + ["--point", "5,?"])
     assert code == 0
@@ -273,12 +286,20 @@ def test_theorems_with_config_file(capsys, tmp_path):
     assert report["violations"] == []
     assert "elapsed" not in json.dumps(data)
 
-def test_theorems_malformed_config(capsys, tmp_path):
+@pytest.mark.parametrize("config, said", [
+    ({"bogus_check": []}, "bogus_check"),
+    ([1, 2], "must map check names"),
+    ({"notheta": "field=7;alphas=0,1,2"}, "must be a list"),
+    ({"notheta": [7]}, "must be a string"),
+    ({"small_order_absence": [["field=7;alphas=0,1,2,3,4"]]}, "must be a string"),
+], ids=["unknown-check", "not-a-dict", "instances-not-a-list",
+        "spec-not-a-string", "spec-is-a-list"])
+def test_theorems_malformed_config(capsys, tmp_path, config, said):
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"bogus_check": []}))
+    cfg.write_text(json.dumps(config))
     code, _, err = run(capsys, ["theorems", "--config", str(cfg)])
     assert code == 1
-    assert "bogus_check" in err
+    assert said in err
 
 def test_theorems_violations_exit_2(capsys, monkeypatch):
     fake = TheoremReport("demo", None, "7", 1,

@@ -18,6 +18,7 @@ from halfjac.field import (
     FieldElement,
     FiniteField,
     _is_prime,
+    _nonsquare_raw,
     element_from_json,
     element_text,
     element_to_json,
@@ -286,6 +287,12 @@ def test_quadratic_extension_of_f7_uses_smallest_nonsquare():
     assert F2.q == 49
     assert F2.modulus_coeffs() == (F7(4), F7(0))   # t^2 - 3
     assert F2 == F49
+
+def test_nonsquare_scan_that_finds_none_is_a_self_check_failure(monkeypatch):
+    F = ff_make(7)
+    monkeypatch.setattr(FiniteField, "_rpow", lambda self, a, n: self._one_raw)
+    with pytest.raises(errors.SelfCheckFailed):
+        _nonsquare_raw(F)
 
 def test_embedding_is_injective_homomorphism():
     F2, emb = quadratic_extension(F7)

@@ -355,6 +355,12 @@ def test_recover_shape_errors():
     with pytest.raises(errors.NotAHalf):
         recover_signs(C13, P(F13, 2, 0, 1), P(F13, 0, 0, 1))        # deg V too big
 
+def test_recover_rejects_equal_first_ratios():
+    # V = 0 makes every V(alpha_i)/U(alpha_i) zero, so the s_1 formula
+    # would divide by zero
+    with pytest.raises(errors.NotAHalf):
+        recover_signs(C1, P(F7, 4, 1), Polynomial.zero(F7))
+
 def test_recover_rejects_non_half():
     from halfjac.poly import gcd_xgcd
     found = None

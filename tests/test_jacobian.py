@@ -189,6 +189,10 @@ def test_add_curve_mismatch():
     with pytest.raises(errors.CurveMismatch):
         add(MumfordDivisor.identity(C1), MumfordDivisor.identity(C2))
 
+def test_inexact_division_is_a_self_check_failure():
+    with pytest.raises(errors.SelfCheckFailed):
+        jacobian._exact_div(P(F7, 1, 0, 1), P(F7, 0, 1))      # x^2 + 1 by x
+
 def test_add_outputs_reduced_and_valid():
     J = enumerate_theta(C1, 1)
     for d1, d2 in itertools.product(J, J):
