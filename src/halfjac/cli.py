@@ -155,8 +155,11 @@ def halve(field_text, alphas_text, point_text, no_lift, output):
     try:
         halves = halve_point(curve2, P2)
     except SquareRootMissing as e:
-        raise click.ClickException(
-            "%s (rerun without --no-lift to allow the extension)" % e)
+        if field.base is None:
+            hint = "rerun without --no-lift to allow the extension"
+        else:
+            hint = "over an extension field the lift would be a tower field, which the CLI refuses"
+        raise click.ClickException("%s (%s)" % (e, hint))
     # 2h = target, so ord(h) is n0 or 2n0. It is n0 only when n0 is odd and
     # h = ((n0 + 1)/2) * 2h, and exactly one half equals that class. P is
     # rational over the input field and J(F_q) is a subgroup of J(F_q^2),
@@ -285,6 +288,9 @@ def theorems(config_path, output):
                 config = json.load(fh)
             except json.JSONDecodeError as e:
                 raise click.ClickException("config is not valid JSON: %s" % e)
+        if config is None:
+            raise click.ClickException(
+                "config is JSON null; omit --config to run the default battery")
     try:
         reports = run_battery(config)
     except (HalfjacError, ValueError) as e:

@@ -32,8 +32,8 @@ the product -b.
 import math
 
 from . import errors
-from .field import is_square, quadratic_extension, sqrt
-from .poly import Polynomial, symmetric_functions
+from .field import FieldElement, is_square, quadratic_extension, sqrt
+from .poly import Polynomial, from_raws, raw_compose, raw_symmetric_functions
 from .jacobian import CurvePoint, MumfordDivisor, curve_make
 
 
@@ -145,16 +145,17 @@ def lift_to_sqrt_field(curve, P):
 
 def _mumford_from_signs(curve, a, r):
     """(U_r, V_r, s_1) from the closed formulas, no validation."""
-    field = curve.field
+    F = curve.field
     g = curve.g
-    s = symmetric_functions(r, field)            # s[k-1] holds s_k
-    amx = Polynomial(field, [a, field(-1)])      # a - x
+    s = raw_symmetric_functions(F, [x.raw for x in r])      # s[k-1] holds s_k
+    amx = (a.raw, F._rneg(F._one_raw))                      # a - x
     # both as polynomials in t = a - x (coefficients of t^0..t^g), then
     # composed with a - x by Horner
-    pu = Polynomial(field, [s[2 * j - 1] for j in range(g, 0, -1)] + [field.one()])
-    pv = Polynomial(field, [s[2 * j] - s[0] * s[2 * j - 1] for j in range(g, 0, -1)])
-    U = pu.compose(amx)
-    return (-U if g % 2 else U), pv.compose(amx), s[0]
+    pu = [s[2 * j - 1] for j in range(g, 0, -1)] + [F._one_raw]
+    pv = [F._rsub(s[2 * j], F._rmul(s[0], s[2 * j - 1])) for j in range(g, 0, -1)]
+    U = from_raws(F, raw_compose(F, pu, amx))
+    return ((-U if g % 2 else U), from_raws(F, raw_compose(F, pv, amx)),
+            FieldElement(F, s[0]))
 
 
 def half_from_signs(sv):

@@ -5,9 +5,14 @@ Curves are built from the distinct roots of f, so f = prod(x - alpha_i)
 is monic of odd degree 2g+1 and the curve has a single point at infinity.
 Group classes are the unique reduced Mumford pairs (U, V): U monic with
 deg U <= g, deg V < deg U, and U dividing V^2 - f. The group law is
-Cantor composition followed by classical reduction; it shares no code
-with the closed-form halving formulas, which is what lets the two sides
-check each other.
+Cantor composition followed by classical reduction (Cantor 1987, Math.
+Comp. 48), on the raw coefficient tuples of poly. A sum with coprime U1,
+U2 takes one xgcd and a CRT lift, a double with gcd(U, 2V) = 1 has its
+own formula, only a common factor takes the general composition, and
+add and double share one reduction loop. The general composition on
+Polynomial objects stays in the tests (oracles.cantor_add) as the oracle
+for these shortcuts. The group law shares no formulas with the
+closed-form halving, which is what lets the two sides check each other.
 
 All enumeration orders are deterministic: field elements by canonical
 index, points by (x index, y index) with infinity last, theta strata by
@@ -29,10 +34,16 @@ from .field import (
 )
 from .poly import (
     Polynomial,
+    from_raws,
     from_roots,
-    gcd_xgcd,
     poly_from_json,
     poly_to_json,
+    raw_add,
+    raw_divrem,
+    raw_mul,
+    raw_scale,
+    raw_sub,
+    raw_xgcd,
     roots_in_field,
 )
 
@@ -237,35 +248,70 @@ def neg(d):
     return MumfordDivisor(d.curve, d.U, (-d.V) % d.U, validate=False)
 
 
-def _exact_div(a, b):
-    q, r = a.divrem(b)
-    if not r.is_zero():
+def _exact_div(F, a, b):
+    q, r = raw_divrem(F, a, b)
+    if r:
         raise errors.SelfCheckFailed("inexact division inside the group law; arithmetic bug")
     return q
 
 
 def add(d1, d2):
-    """Cantor composition of two classes followed by reduction."""
+    """Cantor composition of two classes followed by reduction.
+
+    With e1 U1 + e2 U2 = gcd(U1, U2) = 1 the sum is U1 U2 with the CRT
+    lift V = V1 + U1 (e1 (V2 - V1) mod U2); only a common factor of U1
+    and U2 needs the general composition."""
     if d1.curve != d2.curve:
         raise errors.CurveMismatch("divisors live on different curves")
+    if d1.is_identity():
+        return d2
+    if d2.is_identity():
+        return d1
     curve = d1.curve
-    f, g = curve.f, curve.g
-    U1, V1, U2, V2 = d1.U, d1.V, d2.U, d2.V
-
-    d0, e1, e2 = gcd_xgcd(U1, U2)
-    d, c1, c2 = gcd_xgcd(d0, V1 + V2)
-    s1, s2, s3 = c1 * e1, c1 * e2, c2
-
-    U = _exact_div(U1 * U2, d * d)
-    V = _exact_div(s1 * U1 * V2 + s2 * U2 * V1 + s3 * (V1 * V2 + f), d) % U
-    while U.degree > g:
-        U = _exact_div(f - V * V, U).make_monic()
-        V = (-V) % U
-    return MumfordDivisor(curve, U, V, validate=False)
+    F = curve.field
+    U1, V1, U2, V2 = d1.U.raws, d1.V.raws, d2.U.raws, d2.V.raws
+    d0, e1, e2 = raw_xgcd(F, U1, U2)
+    if len(d0) == 1:
+        k = raw_divrem(F, raw_mul(F, e1, raw_sub(F, V2, V1)), U2)[1]
+        return _reduce(curve, raw_mul(F, U1, U2), raw_add(F, V1, raw_mul(F, U1, k)))
+    d, c1, c2 = raw_xgcd(F, d0, raw_add(F, V1, V2))
+    return _compose(curve, U1, V1, U2, V2, raw_mul(F, c1, e1), raw_mul(F, c1, e2), c2, d)
 
 
 def double(d):
-    return add(d, d)
+    """2d. With c1 U + c2 (2V) = 1 the double is U^2 with
+    V + U (c2 (f - V^2)/U mod U); a common factor of U and V (a
+    Weierstrass point in the support) takes the general composition."""
+    curve = d.curve
+    F = curve.field
+    U, V = d.U.raws, d.V.raws
+    g, c1, c2 = raw_xgcd(F, U, raw_add(F, V, V))
+    if len(g) == 1:
+        h = _exact_div(F, raw_sub(F, curve.f.raws, raw_mul(F, V, V)), U)
+        k = raw_divrem(F, raw_mul(F, c2, h), U)[1]
+        return _reduce(curve, raw_mul(F, U, U), raw_add(F, V, raw_mul(F, U, k)))
+    return _compose(curve, U, V, U, V, (), c1, c2, g)
+
+
+def _compose(curve, U1, V1, U2, V2, s1, s2, s3, d):
+    """Cantor's composition for d = s1 U1 + s2 U2 + s3 (V1 + V2), the gcd
+    of U1, U2 and V1 + V2, followed by reduction."""
+    F, f = curve.field, curve.f.raws
+    U = _exact_div(F, raw_mul(F, U1, U2), raw_mul(F, d, d))
+    t = raw_add(F, raw_mul(F, raw_mul(F, s1, U1), V2), raw_mul(F, raw_mul(F, s2, U2), V1))
+    t = raw_add(F, t, raw_mul(F, s3, raw_add(F, raw_mul(F, V1, V2), f)))
+    return _reduce(curve, U, raw_divrem(F, _exact_div(F, t, d), U)[1])
+
+
+def _reduce(curve, U, V):
+    """The reduced class of the semi-reduced pair (U, V), deg V < deg U."""
+    F, f, g = curve.field, curve.f.raws, curve.g
+    while len(U) > g + 1:
+        U = _exact_div(F, raw_sub(F, f, raw_mul(F, V, V)), U)
+        if U[-1] != F._one_raw:
+            U = raw_scale(F, U, F._rinv(U[-1]))
+        V = raw_divrem(F, raw_sub(F, (), V), U)[1]
+    return MumfordDivisor(curve, from_raws(F, U), from_raws(F, V), validate=False)
 
 
 def scalar_mul(n, d):
@@ -358,21 +404,23 @@ def enumerate_theta(curve, d):
     """All classes whose reduced U has degree <= d, i.e. Theta_d(F_q).
 
     Scans monic U of each degree m <= d and all V with deg V < m, keeping
-    the pairs where U divides f - V^2, with each f - V^2 built once per
-    degree. Reduced representatives are unique, so no deduplication is
-    needed. d = g yields the whole group."""
+    the pairs where V^2 = f mod U, with f mod U taken once per U and each
+    V^2 built once per degree. Reduced representatives are unique, so no
+    deduplication is needed. d = g yields the whole group."""
     if not 0 <= d <= curve.g:
         raise errors.DegreeOutOfRange("need 0 <= d <= %d, got %d" % (curve.g, d))
-    field, f = curve.field, curve.f
+    field, f = curve.field, curve.f.raws
     one = field.one()
     out = [MumfordDivisor.identity(curve)]
     for m in range(1, d + 1):
         Vs = [Polynomial(field, vvec) for vvec in _coeff_vectors(field, m)]
-        candidates = [(V, f - V * V) for V in Vs]
+        squares = [(V, raw_mul(field, V.raws, V.raws)) for V in Vs]
         for uvec in _coeff_vectors(field, m):
             U = Polynomial(field, list(uvec) + [one])
-            for V, h in candidates:
-                if (h % U).is_zero():
+            Ur = U.raws
+            residue = raw_divrem(field, f, Ur)[1]
+            for V, square in squares:
+                if raw_divrem(field, square, Ur)[1] == residue:
                     out.append(MumfordDivisor(curve, U, V, validate=False))
     return out
 

@@ -10,7 +10,10 @@ no arithmetic, NEG_INFINITY + 1 is a TypeError.
 
 The ring arithmetic runs on the raw tuples through the field's _r*
 methods and builds its results unchecked; only the public constructor
-coerces. Coefficients leave as FieldElements, built on access.
+coerces. Coefficients leave as FieldElements, built on access. The raw_*
+functions and the unchecked constructor from_raws are public, so that the
+group law in jacobian and the closed formulas in halving run on the same
+raw tuples without a Polynomial per intermediate value.
 
 Division, extended gcd, root finding, and elementary symmetric functions
 are the pieces the group law and the halving formulas sit on. All gcds
@@ -62,7 +65,7 @@ def _strip(cs, zero):
     return tuple(cs)
 
 
-def _add(F, a, b):
+def raw_add(F, a, b):
     if len(a) < len(b):
         a, b = b, a
     out = list(map(F._radd, a, b))
@@ -71,7 +74,7 @@ def _add(F, a, b):
     return tuple(out) + a[len(b):]
 
 
-def _sub(F, a, b):
+def raw_sub(F, a, b):
     out = list(map(F._rsub, a, b))
     if len(a) > len(b):
         return tuple(out) + a[len(b):]
@@ -80,13 +83,13 @@ def _sub(F, a, b):
     return _strip(out, F._zero_raw)
 
 
-def _scale(F, a, c):
+def raw_scale(F, a, c):
     """a times the nonzero c."""
     rmul = F._rmul
     return tuple([rmul(c, x) for x in a])
 
 
-def _mul(F, a, b):
+def raw_mul(F, a, b):
     if not a or not b:
         return ()
     radd, rmul, zero = F._radd, F._rmul, F._zero_raw
@@ -99,24 +102,56 @@ def _mul(F, a, b):
     return tuple(out)
 
 
-def _divrem(F, a, b):
-    """(quotient, remainder) of a by the nonzero b."""
+def raw_divrem(F, a, b):
+    """(quotient, remainder) of a by the nonzero b; a monic b costs no
+    inverse."""
     db = len(b) - 1
     if len(a) <= db:
         return (), a
     rsub, rmul, zero = F._rsub, F._rmul, F._zero_raw
-    inv_lc = F._rinv(b[-1])
+    inv_lc = None if b[-1] == F._one_raw else F._rinv(b[-1])
     low = b[:db]
     rem = list(a)
     quot = [zero] * (len(a) - db)
     for i in range(len(a) - db - 1, -1, -1):
-        c = rmul(rem[i + db], inv_lc)
+        c = rem[i + db]
         if c == zero:
             continue
+        if inv_lc is not None:
+            c = rmul(c, inv_lc)
         quot[i] = c
         for j, cb in enumerate(low, i):
             rem[j] = rsub(rem[j], rmul(c, cb))
     return tuple(quot), _strip(rem[:db], zero)
+
+
+def raw_compose(F, a, b):
+    """a(b(x)), by Horner in the polynomial ring. Zero coefficients at the
+    top of a are skipped, so a need not be stripped."""
+    acc = ()
+    for c in reversed(a):
+        acc = raw_mul(F, acc, b)
+        if c != F._zero_raw:
+            acc = raw_add(F, acc, (c,))
+    return acc
+
+
+def raw_xgcd(F, a, b):
+    """Monic gcd g and Bezout pair (s, t) with s*a + t*b = g; the gcd of
+    two zero polynomials is zero, with s = 1 and t = 0."""
+    one = (F._one_raw,)
+    r0, r1 = a, b
+    s0, s1 = one, ()
+    t0, t1 = (), one
+    while r1:
+        q, r = raw_divrem(F, r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, raw_sub(F, s0, raw_mul(F, q, s1))
+        t0, t1 = t1, raw_sub(F, t0, raw_mul(F, q, t1))
+    if r0 and r0[-1] != F._one_raw:
+        c = F._rinv(r0[-1])
+        r0, s0, t0 = raw_scale(F, r0, c), raw_scale(F, s0, c), raw_scale(F, t0, c)
+    return r0, s0, t0
 
 
 def _eval(F, a, x):
@@ -185,7 +220,7 @@ class Polynomial:
         if self.raws[-1] == self.field._one_raw:
             return self
         F = self.field
-        return _poly(F, _scale(F, self.raws, F._rinv(self.raws[-1])))
+        return from_raws(F, raw_scale(F, self.raws, F._rinv(self.raws[-1])))
 
     def coefficient(self, i):
         """Coefficient of x^i, zero beyond the degree."""
@@ -209,30 +244,30 @@ class Polynomial:
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        return _poly(self.field, _add(self.field, self.raws, b))
+        return from_raws(self.field, raw_add(self.field, self.raws, b))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _poly(self.field, tuple(map(self.field._rneg, self.raws)))
+        return from_raws(self.field, tuple(map(self.field._rneg, self.raws)))
 
     def __sub__(self, other):
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        return _poly(self.field, _sub(self.field, self.raws, b))
+        return from_raws(self.field, raw_sub(self.field, self.raws, b))
 
     def __rsub__(self, other):
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        return _poly(self.field, _sub(self.field, b, self.raws))
+        return from_raws(self.field, raw_sub(self.field, b, self.raws))
 
     def __mul__(self, other):
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        return _poly(self.field, _mul(self.field, self.raws, b))
+        return from_raws(self.field, raw_mul(self.field, self.raws, b))
 
     __rmul__ = __mul__
 
@@ -255,8 +290,8 @@ class Polynomial:
             raise TypeError("cannot divide by %r" % (other,))
         if not b:
             raise errors.DivisionByZero("polynomial division by zero")
-        q, r = _divrem(self.field, self.raws, b)
-        return _poly(self.field, q), _poly(self.field, r)
+        q, r = raw_divrem(self.field, self.raws, b)
+        return from_raws(self.field, q), from_raws(self.field, r)
 
     def __floordiv__(self, other):
         return self.divrem(other)[0]
@@ -273,18 +308,12 @@ class Polynomial:
         b = self._coerce(other)
         if b is None:
             raise TypeError("compose expects a polynomial")
-        F = self.field
-        acc = ()
-        for c in reversed(self.raws):
-            acc = _mul(F, acc, b)
-            if c != F._zero_raw:
-                acc = _add(F, acc, (c,))
-        return _poly(F, acc)
+        return from_raws(self.field, raw_compose(self.field, self.raws, b))
 
     def derivative(self):
         F = self.field
         out = [F._rmul(F._rfromint(i), c) for i, c in enumerate(self.raws)]
-        return _poly(F, _strip(out[1:], F._zero_raw))
+        return from_raws(F, _strip(out[1:], F._zero_raw))
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
@@ -326,7 +355,7 @@ _set_raws = Polynomial.__dict__["raws"].__set__
 _new_object = object.__new__
 
 
-def _poly(field, raws):
+def from_raws(field, raws):
     """Unchecked constructor: raws must be a stripped tuple of canonical
     raws of field, as the ring arithmetic above returns."""
     p = _new_object(Polynomial)
@@ -344,27 +373,16 @@ def gcd_xgcd(a, b):
     if a.field != b.field:
         raise errors.FieldMismatch("gcd of polynomials over different fields")
     F = a.field
-    one = (F._one_raw,)
-    r0, r1 = a.raws, b.raws
-    s0, s1 = one, ()
-    t0, t1 = (), one
-    while r1:
-        q, r = _divrem(F, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _sub(F, s0, _mul(F, q, s1))
-        t0, t1 = t1, _sub(F, t0, _mul(F, q, t1))
-    if r0:
-        c = F._rinv(r0[-1])
-        r0, s0, t0 = _scale(F, r0, c), _scale(F, s0, c), _scale(F, t0, c)
-    return _poly(F, r0), _poly(F, s0), _poly(F, t0)
+    g, s, t = raw_xgcd(F, a.raws, b.raws)
+    return from_raws(F, g), from_raws(F, s), from_raws(F, t)
 
 
 def from_roots(field, roots):
     """The monic polynomial whose roots (with multiplicity) are given."""
     acc = (field._one_raw,)
     for r in roots:
-        acc = _mul(field, acc, (field._rneg(field(r).raw), field._one_raw))
-    return _poly(field, acc)
+        acc = raw_mul(field, acc, (field._rneg(field(r).raw), field._one_raw))
+    return from_raws(field, acc)
 
 
 def roots_in_field(a):
@@ -383,7 +401,7 @@ def roots_in_field(a):
             lin = (F._rneg(x0.raw), F._one_raw)
             mult = 0
             while True:
-                q, r = _divrem(F, work, lin)
+                q, r = raw_divrem(F, work, lin)
                 if r:
                     break
                 work = q
@@ -401,13 +419,18 @@ def symmetric_functions(roots, field=None):
         if not roots:
             raise ValueError("empty input needs an explicit field")
         field = roots[0].field
-    radd, rmul = field._radd, field._rmul
-    e = [field._one_raw] + [field._zero_raw] * len(roots)
+    raws = [field(r).raw for r in roots]
+    return [FieldElement(field, c) for c in raw_symmetric_functions(field, raws)]
+
+
+def raw_symmetric_functions(F, roots):
+    """symmetric_functions on canonical raws of F, returned as raws."""
+    radd, rmul = F._radd, F._rmul
+    e = [F._one_raw] + [F._zero_raw] * len(roots)
     for m, r in enumerate(roots, start=1):
-        r = field(r).raw
         for j in range(m, 0, -1):
             e[j] = radd(e[j], rmul(r, e[j - 1]))
-    return [FieldElement(field, c) for c in e[1:]]
+    return e[1:]
 
 
 def poly_to_json(a):

@@ -149,6 +149,39 @@ def brute_halves(curve, target, classes):
     return [c for c in classes if jacobian.double(c) == target]
 
 
+def _exact_div(a, b):
+    from halfjac import errors
+    q, r = a.divrem(b)
+    if not r.is_zero():
+        raise errors.SelfCheckFailed("inexact division inside the group law; arithmetic bug")
+    return q
+
+
+def cantor_add(d1, d2):
+    """Cantor composition and reduction on Polynomial objects, in the
+    general form for every case (two xgcds, no coprime or doubling
+    shortcut): the reference for jacobian.add and jacobian.double."""
+    from halfjac import errors
+    from halfjac.jacobian import MumfordDivisor
+    from halfjac.poly import gcd_xgcd
+    if d1.curve != d2.curve:
+        raise errors.CurveMismatch("divisors live on different curves")
+    curve = d1.curve
+    f, g = curve.f, curve.g
+    U1, V1, U2, V2 = d1.U, d1.V, d2.U, d2.V
+
+    d0, e1, e2 = gcd_xgcd(U1, U2)
+    d, c1, c2 = gcd_xgcd(d0, V1 + V2)
+    s1, s2, s3 = c1 * e1, c1 * e2, c2
+
+    U = _exact_div(U1 * U2, d * d)
+    V = _exact_div(s1 * U1 * V2 + s2 * U2 * V1 + s3 * (V1 * V2 + f), d) % U
+    while U.degree > g:
+        U = _exact_div(f - V * V, U).make_monic()
+        V = (-V) % U
+    return MumfordDivisor(curve, U, V, validate=False)
+
+
 def order_by_addition(d, cap=None):
     """Smallest n >= 1 with n*d = identity, by adding d one step at a time.
 

@@ -118,6 +118,15 @@ def test_halve_no_lift_error(capsys):
                        ["halve"] + C1_ARGS + ["--point", "4,2", "--no-lift"])
     assert code == 1
     assert "not a square" in err
+    assert "rerun without --no-lift" in err
+
+def test_halve_no_lift_error_over_an_extension_field(capsys):
+    code, _, err = run(capsys, ["halve", "--field", "7^2:4,0",
+                                "--alphas", "(0,0),(1,0),(6,0)",
+                                "--point", "(0,1),(4,2)", "--no-lift"])
+    assert code == 1
+    assert "not a square" in err and "tower field" in err
+    assert "rerun without --no-lift" not in err
 
 @pytest.mark.parametrize("output", ["json", "table"])
 def test_halve_lift_over_an_extension_field_is_refused(capsys, output):
@@ -292,8 +301,9 @@ def test_theorems_with_config_file(capsys, tmp_path):
     ({"notheta": "field=7;alphas=0,1,2"}, "must be a list"),
     ({"notheta": [7]}, "must be a string"),
     ({"small_order_absence": [["field=7;alphas=0,1,2,3,4"]]}, "must be a string"),
+    (None, "JSON null"),
 ], ids=["unknown-check", "not-a-dict", "instances-not-a-list",
-        "spec-not-a-string", "spec-is-a-list"])
+        "spec-not-a-string", "spec-is-a-list", "null"])
 def test_theorems_malformed_config(capsys, tmp_path, config, said):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))

@@ -7,13 +7,14 @@ oracles.py on every point pair for several primes; all other frozen values
 
 import itertools
 import math
+import random
 
 import pytest
 
 from halfjac import errors, jacobian
 from halfjac.field import ff_make, parse_element
 from halfjac.halving import lift_to_sqrt_field
-from halfjac.poly import NEG_INFINITY, Polynomial, from_roots
+from halfjac.poly import NEG_INFINITY, Polynomial, from_roots, gcd_xgcd
 from halfjac.jacobian import (
     CurvePoint,
     HyperellipticCurve,
@@ -90,7 +91,6 @@ def test_curve_equality():
     assert hash(C1) == hash(curve_make(F7, [0, 1, 6]))
 
 def test_curve_squarefree_invariant():
-    from halfjac.poly import gcd_xgcd
     g, _, _ = gcd_xgcd(C2.f, C2.f.derivative())
     assert g.degree == 0
 
@@ -191,7 +191,49 @@ def test_add_curve_mismatch():
 
 def test_inexact_division_is_a_self_check_failure():
     with pytest.raises(errors.SelfCheckFailed):
-        jacobian._exact_div(P(F7, 1, 0, 1), P(F7, 0, 1))      # x^2 + 1 by x
+        jacobian._exact_div(F7, (1, 0, 1), (0, 1))      # x^2 + 1 by x
+
+def _cantor_case(d1, d2):
+    """The case of Cantor's composition that the pair (d1, d2) takes."""
+    if d1.is_identity() or d2.is_identity():
+        return "identity"
+    d0, _, _ = gcd_xgcd(d1.U, d2.U)
+    if d0.degree == 0:
+        return "coprime"
+    d, _, _ = gcd_xgcd(d0, d1.V + d2.V)
+    if d1 == d2:
+        return "double" if d.degree == 0 else "double, gcd(U, 2V) != 1"
+    if (d1.V + d2.V).is_zero():
+        return "common factor, V1 = -V2"
+    return "common factor, d = 1" if d.degree == 0 else "common factor, d != 1"
+
+def _g3_sample():
+    curve = curve_make(F7, range(7))
+    return random.Random(0).sample(enumerate_theta(curve, 3), 40)
+
+CANTOR_GROUPS = {
+    "C1_F7": enumerate_theta(C1, 1),
+    "C2_F7": enumerate_theta(C2, 2),
+    "C1_F49": enumerate_theta(lift_to_sqrt_field(C1, CurvePoint(C1, 4, 2))[0], 1),
+    "g3_F7_sample": _g3_sample(),
+}
+
+@pytest.mark.parametrize("name", sorted(CANTOR_GROUPS))
+def test_group_law_matches_cantor_oracle(name):
+    classes = CANTOR_GROUPS[name]
+    for d1 in classes:
+        assert oracles.cantor_add(d1, d1) == double(d1)
+        assert oracles.cantor_add(d1, neg(d1)).is_identity()
+        assert add(d1, neg(d1)).is_identity()
+        for d2 in classes:
+            assert oracles.cantor_add(d1, d2) == add(d1, d2)
+
+def test_cantor_oracle_pairs_take_every_case():
+    seen = {_cantor_case(d1, d2) for classes in CANTOR_GROUPS.values()
+            for d1 in classes for d2 in classes}
+    assert seen == {"identity", "coprime", "double", "double, gcd(U, 2V) != 1",
+                    "common factor, V1 = -V2", "common factor, d = 1",
+                    "common factor, d != 1"}
 
 def test_add_outputs_reduced_and_valid():
     J = enumerate_theta(C1, 1)
