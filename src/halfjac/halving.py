@@ -43,7 +43,7 @@ class SignVector:
     __slots__ = ("curve", "point", "r")
 
     def __init__(self, curve, point, r):
-        r = tuple(r)
+        r = tuple(curve.field(x) for x in r)
         a, b = point.x, point.y
         if len(r) != len(curve.alphas):
             raise ValueError("need one coordinate per curve root")

@@ -7,9 +7,9 @@ Group classes are the unique reduced Mumford pairs (U, V): U monic with
 deg U <= g, deg V < deg U, and U dividing V^2 - f. The group law is
 Cantor composition followed by classical reduction (Cantor 1987, Math.
 Comp. 48), on the raw coefficient tuples of poly. A sum with coprime U1,
-U2 takes one xgcd and a CRT lift, a double with gcd(U, 2V) = 1 has its
-own formula, only a common factor takes the general composition, and
-add and double share one reduction loop. The general composition on
+U2 takes one xgcd and a CRT lift, a double takes the general composition
+after its one xgcd, gcd(U, 2V), as does a sum whose U1, U2 share a
+factor, and all of them share one reduction loop. The general composition on
 Polynomial objects stays in the tests (oracles.cantor_add) as the oracle
 for these shortcuts. The group law shares no formulas with the
 closed-form halving, which is what lets the two sides check each other.
@@ -279,17 +279,11 @@ def add(d1, d2):
 
 
 def double(d):
-    """2d. With c1 U + c2 (2V) = 1 the double is U^2 with
-    V + U (c2 (f - V^2)/U mod U); a common factor of U and V (a
-    Weierstrass point in the support) takes the general composition."""
+    """2d: Cantor's composition with one xgcd, c1 U + c2 (2V) = gcd(U, 2V)."""
     curve = d.curve
     F = curve.field
     U, V = d.U.raws, d.V.raws
     g, c1, c2 = raw_xgcd(F, U, raw_add(F, V, V))
-    if len(g) == 1:
-        h = _exact_div(F, raw_sub(F, curve.f.raws, raw_mul(F, V, V)), U)
-        k = raw_divrem(F, raw_mul(F, c2, h), U)[1]
-        return _reduce(curve, raw_mul(F, U, U), raw_add(F, V, raw_mul(F, U, k)))
     return _compose(curve, U, V, U, V, (), c1, c2, g)
 
 

@@ -159,8 +159,8 @@ def _exact_div(a, b):
 
 def cantor_add(d1, d2):
     """Cantor composition and reduction on Polynomial objects, in the
-    general form for every case (two xgcds, no coprime or doubling
-    shortcut): the reference for jacobian.add and jacobian.double."""
+    general form for every case (two xgcds, no coprime shortcut): the
+    reference for jacobian.add and jacobian.double."""
     from halfjac import errors
     from halfjac.jacobian import MumfordDivisor
     from halfjac.poly import gcd_xgcd

@@ -117,6 +117,13 @@ def test_sign_vector_validation():
     with pytest.raises(ValueError):
         SignVector(C3, P01, (F7(2), F7(3), F7(6)))   # product is 1, not -b
 
+def test_sign_vector_takes_ints():
+    sv = SignVector(C3, P01, (2, 3, 1))
+    assert sv.r == (F7(2), F7(3), F7(1))
+    half = half_from_signs(sv).mumford
+    assert half == half_from_signs(SignVector(C3, P01, sv.r)).mumford
+    assert half in [h.mumford for h in halve_point(C3, P01)]
+
 
 # --- half_from_signs ---
 

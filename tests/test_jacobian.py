@@ -5,6 +5,7 @@ oracles.py on every point pair for several primes; all other frozen values
 (point lists, products, caps) were expanded by hand. Exact equality only.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -207,20 +208,23 @@ def _cantor_case(d1, d2):
         return "common factor, V1 = -V2"
     return "common factor, d = 1" if d.degree == 0 else "common factor, d != 1"
 
-def _g3_sample():
-    curve = curve_make(F7, range(7))
-    return random.Random(0).sample(enumerate_theta(curve, 3), 40)
-
 CANTOR_GROUPS = {
-    "C1_F7": enumerate_theta(C1, 1),
-    "C2_F7": enumerate_theta(C2, 2),
-    "C1_F49": enumerate_theta(lift_to_sqrt_field(C1, CurvePoint(C1, 4, 2))[0], 1),
-    "g3_F7_sample": _g3_sample(),
+    "C1_F7": lambda: enumerate_theta(C1, 1),
+    "C2_F7": lambda: enumerate_theta(C2, 2),
+    "C1_F49": lambda: enumerate_theta(
+        lift_to_sqrt_field(C1, CurvePoint(C1, 4, 2))[0], 1),
+    "g3_F7_sample": lambda: random.Random(0).sample(
+        enumerate_theta(curve_make(F7, range(7)), 3), 40),
 }
+
+@functools.cache
+def _cantor_group(name):
+    """The classes of one CANTOR_GROUPS entry, built on first use."""
+    return CANTOR_GROUPS[name]()
 
 @pytest.mark.parametrize("name", sorted(CANTOR_GROUPS))
 def test_group_law_matches_cantor_oracle(name):
-    classes = CANTOR_GROUPS[name]
+    classes = _cantor_group(name)
     for d1 in classes:
         assert oracles.cantor_add(d1, d1) == double(d1)
         assert oracles.cantor_add(d1, neg(d1)).is_identity()
@@ -229,8 +233,8 @@ def test_group_law_matches_cantor_oracle(name):
             assert oracles.cantor_add(d1, d2) == add(d1, d2)
 
 def test_cantor_oracle_pairs_take_every_case():
-    seen = {_cantor_case(d1, d2) for classes in CANTOR_GROUPS.values()
-            for d1 in classes for d2 in classes}
+    seen = {_cantor_case(d1, d2) for name in CANTOR_GROUPS
+            for d1 in _cantor_group(name) for d2 in _cantor_group(name)}
     assert seen == {"identity", "coprime", "double", "double, gcd(U, 2V) != 1",
                     "common factor, V1 = -V2", "common factor, d = 1",
                     "common factor, d != 1"}
