@@ -5,6 +5,10 @@ human-oriented listing instead) and is byte-identical across runs of
 the same invocation.  Exit codes: 0 on success, 1 on usage or
 validation problems, 2 when a theorem battery reports violations.
 
+The error boundary lives in main: it turns every HalfjacError, malformed
+input (errors.InvalidInput) included, into click's "Error: ..." line and
+exit code 1. A command catches an error only to add context to it.
+
 JSON conventions, shared with the library serializers: a field element
 of a prime field is an int, an extension element a little-endian
 coefficient list; a polynomial is the little-endian list of its
@@ -17,7 +21,7 @@ import sys
 
 import click
 
-from .errors import HalfjacError, SquareRootMissing
+from .errors import HalfjacError, PointNotOnCurve
 from .field import (
     element_to_json,
     field_spec,
@@ -47,10 +51,7 @@ from .theorems import run_battery
 
 
 def _curve_from_flags(field_text, alphas_text):
-    try:
-        return parse_curve_spec("field=%s;alphas=%s" % (field_text, alphas_text))
-    except (HalfjacError, ValueError) as e:
-        raise click.ClickException(str(e))
+    return parse_curve_spec("field=%s;alphas=%s" % (field_text, alphas_text))
 
 
 def _emit(payload, output, table_lines):
@@ -117,49 +118,37 @@ def halve(field_text, alphas_text, point_text, no_lift, output):
     parts = split_element_list(point_text)
     if len(parts) != 2:
         raise click.ClickException("--point expects x,y or x,?")
-    try:
-        x = parse_element(field, parts[0])
-    except (HalfjacError, ValueError) as e:
-        raise click.ClickException(str(e))
-    fx = curve.f.eval(x)
+    x = parse_element(field, parts[0])
     if parts[1].strip() == "?":
+        fx = curve.f.eval(x)
         pair = sqrt(fx)
         if pair is None:
             raise click.ClickException(
                 "f(%s) = %s is not a square, no rational y; pick another x "
                 "or work over the quadratic extension" % (x, fx))
-        ys = sorted({pair[0], pair[1]}, key=field.index_of)
+        ys = list(dict.fromkeys(pair))      # sqrt(0) is (0, 0)
         payload = {"x": element_to_json(x),
                    "candidates": [element_to_json(y) for y in ys]}
         _emit(payload, output,
               ["x = %s" % x, "y candidates: %s" % ", ".join(str(y) for y in ys)])
         return 0
+    y = parse_element(field, parts[1])
     try:
-        y = parse_element(field, parts[1])
-    except (HalfjacError, ValueError) as e:
-        raise click.ClickException(str(e))
-    if y * y != fx:
+        P = CurvePoint(curve, x, y)
+    except PointNotOnCurve:
         raise click.ClickException(
             "point (%s, %s) is not on the curve: y^2 = %s but f(x) = %s "
-            "(y^2 != f(x))" % (x, y, y * y, fx))
-    P = CurvePoint(curve, x, y)
-    if no_lift:
-        curve2, P2 = curve, P
-    else:
-        curve2, P2 = lift_to_sqrt_field(curve, P)
-        if curve2 is not curve and field.base is not None:
-            raise click.ClickException(
-                "the halves need square roots outside %s, and its quadratic "
-                "extension is a tower field with no text form; the automatic "
-                "lift works only over a prime field" % field_spec(field))
-    try:
-        halves = halve_point(curve2, P2)
-    except SquareRootMissing as e:
-        if field.base is None:
-            hint = "rerun without --no-lift to allow the extension"
-        else:
-            hint = "over an extension field the lift would be a tower field, which the CLI refuses"
-        raise click.ClickException("%s (%s)" % (e, hint))
+            "(y^2 != f(x))" % (x, y, y * y, curve.f.eval(x))) from None
+    curve2, P2 = lift_to_sqrt_field(curve, P)
+    lifted = curve2 is not curve
+    if lifted and (no_lift or field.base is not None):
+        hint = ("rerun without --no-lift to allow it" if field.base is None
+                else "a tower field with no text form; the automatic lift "
+                     "works only over a prime field")
+        raise click.ClickException(
+            "some a - alpha_i is not a square in %r, so the halves need its "
+            "quadratic extension (%s)" % (field, hint))
+    halves = halve_point(curve2, P2)
     # 2h = target, so ord(h) is n0 or 2n0. It is n0 only when n0 is odd and
     # h = ((n0 + 1)/2) * 2h, and exactly one half equals that class. P is
     # rational over the input field and J(F_q) is a subgroup of J(F_q^2),
@@ -176,10 +165,10 @@ def halve(field_text, alphas_text, point_text, no_lift, output):
     payload = {"field": field_spec(curve2.field),
                "curve": curve_spec(curve2),
                "point": {"x": element_to_json(P2.x), "y": element_to_json(P2.y)},
-               "lifted": curve2 is not curve,
+               "lifted": lifted,
                "halves": entries}
     lines = ["curve: %s" % curve_spec(curve2),
-             "point: %s%s" % (P2, "  (lifted)" if curve2 is not curve else "")]
+             "point: %s%s" % (P2, "  (lifted)" if lifted else "")]
     for h, e in zip(halves, entries):
         lines.append("r = (%s); %s; order %d" %
                      (", ".join(str(c) for c in h.sign_vector.r),
@@ -201,7 +190,7 @@ def arith(field_text, alphas_text, op, operands, output):
     def pair(text):
         try:
             return mumford_from_json(curve, json.loads(text))
-        except (HalfjacError, ValueError) as e:
+        except (HalfjacError, ValueError, RecursionError) as e:
             raise click.ClickException("invalid Mumford pair %s: %s" % (text, e))
 
     wanted = {"add": 2, "neg": 1, "double": 1, "smul": 2, "order": 1}[op]
@@ -263,10 +252,7 @@ def enumerate(field_text, alphas_text, what, degree, output):
         _emit(payload, output, [str(P) for P in pts])
         return 0
     d = curve.g if degree is None else degree
-    try:
-        classes = enumerate_theta(curve, d)
-    except HalfjacError as e:
-        raise click.ClickException(str(e))
+    classes = enumerate_theta(curve, d)
     payload = {"curve": curve_spec(curve), "degree": d,
                "count": len(classes),
                "classes": [mumford_to_json(a) for a in classes]}
@@ -283,18 +269,15 @@ def theorems(config_path, output):
     """Run the brute-force theorem battery and report consistency."""
     config = None
     if config_path is not None:
-        with open(config_path) as fh:
+        with open(config_path, encoding="utf-8") as fh:
             try:
                 config = json.load(fh)
-            except json.JSONDecodeError as e:
+            except (ValueError, RecursionError) as e:   # bad UTF-8 or nesting
                 raise click.ClickException("config is not valid JSON: %s" % e)
         if config is None:
             raise click.ClickException(
                 "config is JSON null; omit --config to run the default battery")
-    try:
-        reports = run_battery(config)
-    except (HalfjacError, ValueError) as e:
-        raise click.ClickException(str(e))
+    reports = run_battery(config)
     entries = []
     lines = []
     for r in reports:
@@ -312,7 +295,9 @@ def theorems(config_path, output):
 
 
 def main(argv=None):
-    """Entry point returning the exit code instead of raising SystemExit."""
+    """Entry point returning the exit code instead of raising SystemExit.
+
+    The one place where a HalfjacError becomes exit code 1."""
     try:
         rv = cli.main(args=argv, prog_name="halfjac", standalone_mode=False)
     except click.exceptions.Exit as e:
@@ -323,6 +308,6 @@ def main(argv=None):
     except click.exceptions.Abort:
         return 1
     except HalfjacError as e:
-        click.echo("error: %s" % e, file=sys.stderr)
+        click.ClickException(str(e)).show()
         return 1
     return rv if isinstance(rv, int) else 0

@@ -1,7 +1,10 @@
 """Exception types shared by all halfjac modules.
 
 Every error raised on a documented failure path derives from HalfjacError,
-so callers can catch one base class at API boundaries (the CLI does).
+so callers can catch one base class at API boundaries (the CLI does, in
+cli.main). Malformed text, JSON, config entries and arguments raise
+InvalidInput, also a ValueError; an operand of the wrong type raises
+InvalidType, also a TypeError.
 Internal-consistency failures use SelfCheckFailed: they signal an arithmetic
 bug in this package, never a legitimate outcome of a valid input.
 """
@@ -9,6 +12,14 @@ bug in this package, never a legitimate outcome of a valid input.
 
 class HalfjacError(Exception):
     """Base class for all documented halfjac failures."""
+
+
+class InvalidInput(HalfjacError, ValueError):
+    """Malformed text, JSON, config entry or argument value."""
+
+
+class InvalidType(HalfjacError, TypeError):
+    """Operand of a type the operation does not accept."""
 
 
 # field construction and arithmetic

@@ -9,8 +9,10 @@ Elements are immutable wrappers around a canonical raw value: an int in
 [0, p) for prime fields, a fixed-length tuple of base raws for extensions
 (polynomial basis, little-endian). All operations are pure; fields compare
 structurally, so independently built copies of the same field interoperate.
-Besides this module only poly reads and builds raws: polynomials hold raw
+Besides this module, poly reads and builds raws: polynomials hold raw
 coefficient tuples and run their arithmetic through the _r* methods below.
+jacobian._reduce and halving._mumford_from_signs do too, on top of poly's
+raw_* functions.
 
 Building a FiniteField picks its raw arithmetic from its shape, once:
 
@@ -40,6 +42,8 @@ from .errors import (
     DivisionByZero,
     EvenCharacteristic,
     FieldMismatch,
+    InvalidInput,
+    InvalidType,
     NotPrime,
     ReducibleModulus,
     SelfCheckFailed,
@@ -221,7 +225,7 @@ class FiniteField:
             raise FieldMismatch("element of %r is not in %r" % (value.field, self))
         if isinstance(value, int):
             return _element(self, self._rfromint(value))
-        raise TypeError("cannot make a field element from %r" % (value,))
+        raise InvalidType("cannot make a field element from %r" % (value,))
 
     def zero(self):
         if self._zero is None:
@@ -235,7 +239,7 @@ class FiniteField:
 
     def element_at(self, index):
         if not 0 <= index < self.q:
-            raise ValueError("index %d outside [0, %d)" % (index, self.q))
+            raise InvalidInput("index %d outside [0, %d)" % (index, self.q))
         return _element(self, self._rat(index))
 
     def index_of(self, element):
@@ -343,7 +347,7 @@ class FieldElement:
         else:
             raw = tuple(raw)
             if len(raw) != field.k:
-                raise ValueError("raw value needs %d coefficients" % field.k)
+                raise InvalidInput("raw value needs %d coefficients" % field.k)
             if field.base.base is None:
                 raw = tuple(c % field.p for c in raw)
         self.field = field
@@ -437,7 +441,7 @@ class FieldElement:
 
     def __int__(self):
         if self.field.base is not None:
-            raise TypeError("only prime-field elements convert to int")
+            raise InvalidType("only prime-field elements convert to int")
         return self.raw
 
     def __str__(self):
@@ -474,9 +478,9 @@ def ff_make(p, modulus_poly=None):
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if len(coeffs) < 2:
-        raise ValueError("modulus must have degree >= 1")
+        raise InvalidInput("modulus must have degree >= 1")
     if coeffs[-1] != 1:
-        raise ValueError("modulus must be monic")
+        raise InvalidInput("modulus must be monic")
     k = len(coeffs) - 1
     if k == 1:
         return prime
@@ -625,12 +629,12 @@ def split_element_list(text):
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                raise ValueError("unbalanced parentheses in %r" % text)
+                raise InvalidInput("unbalanced parentheses in %r" % text)
         elif ch == "," and depth == 0:
             parts.append(text[start:i])
             start = i + 1
     if depth != 0:
-        raise ValueError("unbalanced parentheses in %r" % text)
+        raise InvalidInput("unbalanced parentheses in %r" % text)
     parts.append(text[start:])
     return parts
 
@@ -647,16 +651,16 @@ def parse_element(F, text):
         try:
             return F(int(s))
         except ValueError:
-            raise ValueError("bad element %r for %r" % (text, F)) from None
+            raise InvalidInput("bad element %r for %r" % (text, F)) from None
     if F.base.base is not None:
-        raise ValueError("tower-field elements have no textual form")
+        raise InvalidInput("tower-field elements have no textual form")
     parts = s.split(",")
     if len(parts) != F.k:
-        raise ValueError("element of %r needs %d coefficients, got %r" % (F, F.k, text))
+        raise InvalidInput("element of %r needs %d coefficients, got %r" % (F, F.k, text))
     try:
         ints = [int(x) for x in parts]
     except ValueError:
-        raise ValueError("bad element %r for %r" % (text, F)) from None
+        raise InvalidInput("bad element %r for %r" % (text, F)) from None
     return FieldElement(F, tuple(c % F.p for c in ints))
 
 
@@ -678,10 +682,10 @@ def element_from_json(F, obj):
 def _raw_from_json(F, obj):
     if F.base is None:
         if not isinstance(obj, int):
-            raise ValueError("expected an int for an element of %r, got %r" % (F, obj))
+            raise InvalidInput("expected an int for an element of %r, got %r" % (F, obj))
         return obj % F.p
     if not isinstance(obj, list) or len(obj) != F.k:
-        raise ValueError("expected %d coefficients for an element of %r, got %r" % (F.k, F, obj))
+        raise InvalidInput("expected %d coefficients for an element of %r, got %r" % (F.k, F, obj))
     return tuple(_raw_from_json(F.base, c) for c in obj)
 
 
@@ -690,7 +694,7 @@ def field_spec(F):
     if F.base is None:
         return str(F.p)
     if F.base.base is not None:
-        raise ValueError("tower fields have no textual spec")
+        raise InvalidInput("tower fields have no textual spec")
     return "%d^%d:%s" % (F.p, F.k, ",".join(str(c) for c in F.modulus))
 
 
@@ -701,7 +705,7 @@ def parse_field_spec(text):
         try:
             p = int(s)
         except ValueError:
-            raise ValueError("bad field spec %r" % text) from None
+            raise InvalidInput("bad field spec %r" % text) from None
         return ff_make(p)
     head, _, tail = s.partition("^")
     kpart, sep, coeffpart = tail.partition(":")
@@ -709,15 +713,15 @@ def parse_field_spec(text):
         p = int(head)
         k = int(kpart)
     except ValueError:
-        raise ValueError("bad field spec %r" % text) from None
+        raise InvalidInput("bad field spec %r" % text) from None
     if not sep or k < 1:
-        raise ValueError("bad field spec %r" % text)
+        raise InvalidInput("bad field spec %r" % text)
     try:
         coeffs = [int(x) for x in coeffpart.split(",")]
     except ValueError:
-        raise ValueError("bad field spec %r" % text) from None
+        raise InvalidInput("bad field spec %r" % text) from None
     if len(coeffs) == k:
         coeffs.append(1)
     if len(coeffs) != k + 1:
-        raise ValueError("field spec %r needs %d or %d coefficients" % (text, k, k + 1))
+        raise InvalidInput("field spec %r needs %d or %d coefficients" % (text, k, k + 1))
     return ff_make(p, coeffs)

@@ -43,15 +43,16 @@ class SignVector:
     __slots__ = ("curve", "point", "r")
 
     def __init__(self, curve, point, r):
+        _require_affine(curve, point)
         r = tuple(curve.field(x) for x in r)
         a, b = point.x, point.y
         if len(r) != len(curve.alphas):
-            raise ValueError("need one coordinate per curve root")
+            raise errors.InvalidInput("need one coordinate per curve root")
         for ri, alpha in zip(r, curve.alphas):
             if ri * ri != a - alpha:
-                raise ValueError("r_i^2 != a - alpha_i")
+                raise errors.InvalidInput("r_i^2 != a - alpha_i")
         if math.prod(r, start=curve.field.one()) != -b:
-            raise ValueError("prod r_i != -b")
+            raise errors.InvalidInput("prod r_i != -b")
         # r_i != +-r_j needs no check: with r_i^2 = a - alpha_i it would
         # force alpha_i = alpha_j, which the curve already rejects.
         self.curve = curve
@@ -75,15 +76,20 @@ class HalfLift:
         return "HalfLift(%r, %r)" % (self.sign_vector, self.mumford)
 
 
-def sqrt_choices(curve, P):
-    """All 2^(2g) sign vectors for the affine point P, in deterministic
-    sign-pattern order."""
+def _require_affine(curve, P):
+    """Raise unless P is an affine point of curve."""
     if P.curve != curve:
         raise errors.CurveMismatch("point lives on a different curve")
     if P.is_infinity:
         raise errors.PointAtInfinity(
             "halves of the identity are the two-torsion classes; "
             "use two_torsion_classes instead")
+
+
+def sqrt_choices(curve, P):
+    """All 2^(2g) sign vectors for the affine point P, in deterministic
+    sign-pattern order."""
+    _require_affine(curve, P)
     a, b = P.x, P.y
     field = curve.field
     n = len(curve.alphas)
@@ -92,13 +98,11 @@ def sqrt_choices(curve, P):
     rest = n - 1
     for i, alpha in enumerate(curve.alphas):
         diff = a - alpha
-        if diff.is_zero():
-            rest = i
-            roots.append(field.zero())
-            continue
         rr = sqrt(diff)
         if rr is None:
             raise errors.SquareRootMissing(i)
+        if diff.is_zero():
+            rest = i
         roots.append(rr[0])
 
     # Every choice has (prod r_i)^2 = f(a) = b^2, so prod r_i = +-b, and
@@ -133,8 +137,7 @@ def lift_to_sqrt_field(curve, P):
     """(curve, P) unchanged when every a - alpha_i is a square; otherwise
     the same data embedded into the quadratic extension, where halving
     always succeeds."""
-    if P.is_infinity:
-        raise errors.PointAtInfinity("nothing to lift for the point at infinity")
+    _require_affine(curve, P)
     a = P.x
     if all(is_square(a - alpha) for alpha in curve.alphas):
         return curve, P
@@ -228,7 +231,7 @@ def recover_signs(curve, U, V):
     try:
         point = CurvePoint(curve, a, b)
         sv = SignVector(curve, point, r)
-    except (errors.PointNotOnCurve, ValueError) as exc:
+    except (errors.PointNotOnCurve, errors.InvalidInput) as exc:
         raise errors.NotAHalf(str(exc)) from exc
 
     U2, V2, _ = _mumford_from_signs(curve, a, r)

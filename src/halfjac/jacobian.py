@@ -95,7 +95,7 @@ class CurvePoint:
         self.curve = curve
         if x is None:
             if y is not None:
-                raise ValueError("the point at infinity has no coordinates")
+                raise errors.InvalidInput("the point at infinity has no coordinates")
             self.x = None
             self.y = None
             return
@@ -218,7 +218,7 @@ def curve_from_coeffs(field, coeffs):
     monic of odd degree and split over the field with distinct roots."""
     f = Polynomial(field, coeffs)
     if f.is_zero() or not f.is_monic():
-        raise ValueError("f must be monic")
+        raise errors.InvalidInput("f must be monic")
     found = roots_in_field(f)
     for r, m in found:
         if m > 1:
@@ -244,8 +244,8 @@ def embed_point(P):
 
 
 def neg(d):
-    """The inverse class: (U, V) -> (U, (-V) mod U)."""
-    return MumfordDivisor(d.curve, d.U, (-d.V) % d.U, validate=False)
+    """The inverse class (U, -V): reduced already, as deg V < deg U."""
+    return MumfordDivisor(d.curve, d.U, -d.V, validate=False)
 
 
 def _exact_div(F, a, b):
@@ -445,15 +445,15 @@ def curve_spec(curve):
 
 def parse_curve_spec(text):
     if not isinstance(text, str):
-        raise ValueError("curve spec must be a string, got %r" % (text,))
+        raise errors.InvalidInput("curve spec must be a string, got %r" % (text,))
     parts = text.split(";")
     if len(parts) != 2 or not parts[0].startswith("field=") \
             or not parts[1].startswith("alphas="):
-        raise ValueError("curve spec must look like field=...;alphas=...")
+        raise errors.InvalidInput("curve spec must look like field=...;alphas=...")
     field = parse_field_spec(parts[0][len("field="):])
     alpha_text = parts[1][len("alphas="):]
     if not alpha_text:
-        raise ValueError("empty alphas list")
+        raise errors.InvalidInput("empty alphas list")
     alphas = [parse_element(field, t) for t in split_element_list(alpha_text)]
     return curve_make(field, alphas)
 
@@ -464,7 +464,7 @@ def mumford_to_json(d):
 
 def mumford_from_json(curve, data):
     if not isinstance(data, dict) or set(data) != {"U", "V"}:
-        raise ValueError('Mumford JSON must be {"U": [...], "V": [...]}')
+        raise errors.InvalidInput('Mumford JSON must be {"U": [...], "V": [...]}')
     U = poly_from_json(curve.field, data["U"])
     V = poly_from_json(curve.field, data["V"])
     return MumfordDivisor(curve, U, V)

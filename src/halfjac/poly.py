@@ -222,12 +222,6 @@ class Polynomial:
         F = self.field
         return from_raws(F, raw_scale(F, self.raws, F._rinv(self.raws[-1])))
 
-    def coefficient(self, i):
-        """Coefficient of x^i, zero beyond the degree."""
-        if 0 <= i < len(self.raws):
-            return FieldElement(self.field, self.raws[i])
-        return self.field.zero()
-
     def _coerce(self, other):
         """The raws of other as a polynomial over this field; None when
         other is not a polynomial, a field element or an int."""
@@ -273,7 +267,7 @@ class Polynomial:
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial powers take a non-negative int")
+            raise errors.InvalidInput("polynomial powers take a non-negative int")
         result = Polynomial.one(self.field)
         base = self
         while n:
@@ -287,7 +281,7 @@ class Polynomial:
         """Quotient and remainder with deg(remainder) < deg(other)."""
         b = self._coerce(other)
         if b is None:
-            raise TypeError("cannot divide by %r" % (other,))
+            raise errors.InvalidType("cannot divide by %r" % (other,))
         if not b:
             raise errors.DivisionByZero("polynomial division by zero")
         q, r = raw_divrem(self.field, self.raws, b)
@@ -307,7 +301,7 @@ class Polynomial:
         """self(other(x)), by Horner in the polynomial ring."""
         b = self._coerce(other)
         if b is None:
-            raise TypeError("compose expects a polynomial")
+            raise errors.InvalidType("compose expects a polynomial")
         return from_raws(self.field, raw_compose(self.field, self.raws, b))
 
     def derivative(self):
@@ -417,7 +411,7 @@ def symmetric_functions(roots, field=None):
     roots = list(roots)
     if field is None:
         if not roots:
-            raise ValueError("empty input needs an explicit field")
+            raise errors.InvalidInput("empty input needs an explicit field")
         field = roots[0].field
     raws = [field(r).raw for r in roots]
     return [FieldElement(field, c) for c in raw_symmetric_functions(field, raws)]
@@ -440,5 +434,5 @@ def poly_to_json(a):
 
 def poly_from_json(field, data):
     if not isinstance(data, list):
-        raise ValueError("polynomial JSON must be a list of coefficients")
+        raise errors.InvalidInput("polynomial JSON must be a list of coefficients")
     return Polynomial(field, [element_from_json(field, c) for c in data])

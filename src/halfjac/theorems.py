@@ -32,7 +32,8 @@ The statements exercised here:
 import itertools
 import time
 
-from .errors import CapExceeded, CharacteristicDividesDegree, DoesNotSplit
+from .errors import (CapExceeded, CharacteristicDividesDegree, DoesNotSplit,
+                     InvalidInput)
 from .field import field_spec, parse_element, parse_field_spec
 from .halving import halve_point, lift_to_sqrt_field
 from .jacobian import (
@@ -105,7 +106,7 @@ def _order_at_most(d, bound):
 def check_small_order_absence(curve):
     """No rational curve point has Jacobian order in [3, 2g] (g >= 2)."""
     if curve.g < 2:
-        raise ValueError("small_order_absence needs genus >= 2, got %d" % curve.g)
+        raise InvalidInput("small_order_absence needs genus >= 2, got %d" % curve.g)
     start = time.perf_counter()
     violations = []
     points = enumerate_points(curve)
@@ -136,7 +137,7 @@ def check_order_2g_plus_1(field, g, b):
     n = 2 * g + 1
     b = field(b)
     if b.is_zero():
-        raise ValueError("b must be nonzero; b = 0 gives a two-torsion point")
+        raise InvalidInput("b must be nonzero; b = 0 gives a two-torsion point")
     if n % field.p == 0:
         raise CharacteristicDividesDegree(
             "characteristic %d divides 2g + 1 = %d" % (field.p, n))
@@ -158,22 +159,25 @@ def check_order_2g_plus_1(field, g, b):
                          params={"g": g, "b": str(b)})
 
 
-def check_notheta(curve, budget=4096):
+NOTHETA_BUDGET = 4096
+
+
+def check_notheta(curve):
     """Doubling a class of degree <= g - 1 meets the curve only at 0 (g >= 2).
 
     Scans the rational theta classes of degree up to g - 1 (a
-    deterministic stride sample when there are more than budget) and
+    deterministic stride sample when there are more than NOTHETA_BUDGET) and
     flags any whose double reduces to degree <= 1 without being the
     identity.  For g = 2 additionally pins down the full intersection:
     the classes of Theta_1 whose double is again in Theta_1 are exactly
     the identity and the Weierstrass classes.
     """
     if curve.g < 2:
-        raise ValueError("notheta needs genus >= 2, got %d" % curve.g)
+        raise InvalidInput("notheta needs genus >= 2, got %d" % curve.g)
     start = time.perf_counter()
     theta = enumerate_theta(curve, curve.g - 1)
-    if len(theta) > budget:
-        stride = -(-len(theta) // budget)
+    if len(theta) > NOTHETA_BUDGET:
+        stride = -(-len(theta) // NOTHETA_BUDGET)
         sample = theta[::stride]
     else:
         sample = theta
@@ -271,10 +275,14 @@ DEFAULT_CONFIG = _default_config()
 
 def _order_entry(entry):
     if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-        raise ValueError("order_2g_plus_1 entries are [field, g, b] triples")
+        raise InvalidInput("order_2g_plus_1 entries are [field, g, b] triples")
     field = parse_field_spec(str(entry[0]))
-    return check_order_2g_plus_1(field, int(entry[1]),
-                                 parse_element(field, str(entry[2])))
+    try:
+        g = int(entry[1])
+    except (TypeError, ValueError):
+        raise InvalidInput("the genus in an order_2g_plus_1 entry must be "
+                           "an integer, got %r" % (entry[1],)) from None
+    return check_order_2g_plus_1(field, g, parse_element(field, str(entry[2])))
 
 
 # Each check name, in battery order, with its run on one config entry. The
@@ -299,12 +307,12 @@ def run_battery(config=None):
     if config is None:
         config = DEFAULT_CONFIG
     if not isinstance(config, dict):
-        raise ValueError("config must map check names to instance lists")
+        raise InvalidInput("config must map check names to instance lists")
     unknown = set(config) - set(_CHECKS)
     if unknown:
-        raise ValueError("unknown checks in config: %s" % ", ".join(sorted(unknown)))
+        raise InvalidInput("unknown checks in config: %s" % ", ".join(sorted(unknown)))
     for name, entries in config.items():
         if not isinstance(entries, (list, tuple)):
-            raise ValueError("instances of %s must be a list" % name)
+            raise InvalidInput("instances of %s must be a list" % name)
     return [check(entry) for name, check in _CHECKS.items()
             for entry in config.get(name, [])]

@@ -227,6 +227,11 @@ def test_arith_invalid_pair(capsys):
     assert code == 1
     assert err
 
+def test_arith_pair_nested_too_deep(capsys):
+    code, out, err = run(capsys, ["arith"] + C1_ARGS + ["neg", "[" * 100000])
+    assert (code, out) == (1, "")
+    assert err.startswith("Error: invalid Mumford pair")
+
 def test_arith_operand_count(capsys):
     code, _, err = run(capsys, ["arith"] + C1_ARGS +
                        ["add", '{"U": [1], "V": []}'])
@@ -302,14 +307,32 @@ def test_theorems_with_config_file(capsys, tmp_path):
     ({"notheta": [7]}, "must be a string"),
     ({"small_order_absence": [["field=7;alphas=0,1,2,3,4"]]}, "must be a string"),
     (None, "JSON null"),
+    ({"order_2g_plus_1": [["7", [1], "1"]]}, "must be an integer"),
 ], ids=["unknown-check", "not-a-dict", "instances-not-a-list",
-        "spec-not-a-string", "spec-is-a-list", "null"])
+        "spec-not-a-string", "spec-is-a-list", "null", "genus-is-a-list"])
 def test_theorems_malformed_config(capsys, tmp_path, config, said):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))
     code, _, err = run(capsys, ["theorems", "--config", str(cfg)])
     assert code == 1
     assert said in err
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100000],
+                         ids=["not-utf-8", "nested-too-deep"])
+def test_theorems_undecodable_config(capsys, tmp_path, content):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(content)
+    code, out, err = run(capsys, ["theorems", "--config", str(cfg)])
+    assert (code, out) == (1, "")
+    assert err.startswith("Error: config is not valid JSON")
+
+def test_theorems_genus_given_as_a_string(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"order_2g_plus_1": [["7", "1", "1"]]}))
+    code, out, err = run(capsys, ["theorems", "--config", str(cfg)])
+    assert code == 0, err
+    report = json.loads(out)["reports"][0]
+    assert report["parameters"]["g"] == 1 and report["violations"] == []
 
 def test_theorems_violations_exit_2(capsys, monkeypatch):
     fake = TheoremReport("demo", None, "7", 1,
@@ -359,6 +382,19 @@ def test_captured_streams_are_released(argv, code, monkeypatch):
     del out, err
     gc.collect()
     assert [r() for r in refs] == [None, None]
+
+def test_library_error_in_a_command_prints_error_line(capsys, monkeypatch):
+    def fail(curve):
+        raise errors.CapExceeded("synthetic library error")
+
+    monkeypatch.setattr(cli, "two_torsion_classes", fail)
+    code, out, err = run(capsys, ["two-torsion"] + G2_ARGS)
+    assert (code, out, err) == (1, "", "Error: synthetic library error\n")
+
+def test_malformed_point_exits_1(capsys):
+    code, out, err = run(capsys, ["halve"] + C1_ARGS + ["--point", "(1,1"])
+    assert (code, out) == (1, "")
+    assert err.startswith("Error: ") and "parentheses" in err
 
 def test_bad_field_spec(capsys):
     code, _, err = run(capsys, ["halve", "--field", "6", "--alphas", "0,1,2",

@@ -117,6 +117,12 @@ def test_sign_vector_validation():
     with pytest.raises(ValueError):
         SignVector(C3, P01, (F7(2), F7(3), F7(6)))   # product is 1, not -b
 
+def test_sign_vector_needs_an_affine_point_of_its_curve():
+    with pytest.raises(errors.PointAtInfinity):
+        SignVector(C3, CurvePoint.infinity(C3), (2, 3, 1))
+    with pytest.raises(errors.CurveMismatch):
+        SignVector(C1, P01, (2, 3, 1))
+
 def test_sign_vector_takes_ints():
     sv = SignVector(C3, P01, (2, 3, 1))
     assert sv.r == (F7(2), F7(3), F7(1))
@@ -226,6 +232,16 @@ def test_halves_match_brute_force_g2():
 def test_lift_identity_when_squares_exist():
     curve2, pt2 = lift_to_sqrt_field(C3, P01)
     assert curve2 is C3 and pt2 is P01
+
+def test_lift_needs_an_affine_point_of_its_curve():
+    with pytest.raises(errors.PointAtInfinity):
+        lift_to_sqrt_field(C1, CurvePoint.infinity(C1))
+    with pytest.raises(errors.CurveMismatch):
+        lift_to_sqrt_field(C1, P01)
+
+def test_sqrt_choices_rejects_a_point_of_another_curve():
+    with pytest.raises(errors.CurveMismatch):
+        sqrt_choices(C1, P01)
 
 def test_lift_to_quadratic_extension():
     pt = CurvePoint(C1, 4, 2)

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from halfjac import errors
+from halfjac import errors, theorems
 from halfjac.field import ff_make
 from halfjac.jacobian import curve_make, enumerate_points, enumerate_theta, parse_curve_spec
 from halfjac.theorems import (
@@ -138,9 +138,10 @@ def test_notheta_g3_exhausts_theta2():
     assert r.violations == []
     assert r.instances_checked == len(enumerate_theta(curve, 2))
 
-def test_notheta_budget_sampling_is_deterministic():
-    r1 = check_notheta(C2_7, budget=3)
-    r2 = check_notheta(C2_7, budget=3)
+def test_notheta_budget_sampling_is_deterministic(monkeypatch):
+    monkeypatch.setattr(theorems, "NOTHETA_BUDGET", 3)
+    r1 = check_notheta(C2_7)
+    r2 = check_notheta(C2_7)
     assert r1.instances_checked == r2.instances_checked
     assert 0 < r1.instances_checked < len(enumerate_theta(C2_7, 1))
     assert r1.violations == []
