@@ -65,7 +65,8 @@ class TooFewRoots(HalfjacError):
 
 
 class PointNotOnCurve(HalfjacError):
-    """Affine coordinates do not satisfy y^2 = f(x)."""
+    """Affine coordinates do not satisfy y^2 = f(x); the message gives the
+    point, y^2 and f(x)."""
 
 
 class CurveMismatch(HalfjacError):
@@ -111,7 +112,7 @@ class NotAHalf(HalfjacError):
     """Pair (U, V) is not the Mumford representation of any curve-point half."""
 
 
-class SharedRootWithF(HalfjacError):
+class SharedRootWithF(NotAHalf):
     """U shares a root with f, so (U, V) cannot be a curve-point half."""
 
 
@@ -122,4 +123,5 @@ class CharacteristicDividesDegree(HalfjacError):
 
 
 class DoesNotSplit(HalfjacError):
-    """x^{2g+1} + b^2 does not split over the given field."""
+    """The curve polynomial f does not split into linear factors over the
+    given field (curve_from_coeffs; order_2g_plus_1 names the extension)."""

@@ -101,8 +101,11 @@ class CurvePoint:
             return
         x = curve.field(x)
         y = curve.field(y)
-        if y * y != curve.f.eval(x):
-            raise errors.PointNotOnCurve("y^2 != f(x) at x = %s" % x)
+        y2, fx = y * y, curve.f.eval(x)
+        if y2 != fx:
+            raise errors.PointNotOnCurve(
+                "point (%s, %s) is not on the curve: y^2 = %s but f(x) = %s "
+                "(y^2 != f(x))" % (x, y, y2, fx))
         self.x = x
         self.y = y
 
@@ -443,19 +446,24 @@ def curve_spec(curve):
     return "field=%s;alphas=%s" % (field_spec(curve.field), alphas)
 
 
+def parse_curve(field_text, alphas_text):
+    """Curve from a field spec and the comma-separated list of its roots."""
+    field = parse_field_spec(field_text)
+    if not alphas_text:
+        raise errors.InvalidInput("empty alphas list")
+    return curve_make(field, [parse_element(field, t)
+                              for t in split_element_list(alphas_text)])
+
+
 def parse_curve_spec(text):
+    """Curve from its text form `field=<fieldspec>;alphas=a1,a2,...`."""
     if not isinstance(text, str):
         raise errors.InvalidInput("curve spec must be a string, got %r" % (text,))
     parts = text.split(";")
     if len(parts) != 2 or not parts[0].startswith("field=") \
             or not parts[1].startswith("alphas="):
         raise errors.InvalidInput("curve spec must look like field=...;alphas=...")
-    field = parse_field_spec(parts[0][len("field="):])
-    alpha_text = parts[1][len("alphas="):]
-    if not alpha_text:
-        raise errors.InvalidInput("empty alphas list")
-    alphas = [parse_element(field, t) for t in split_element_list(alpha_text)]
-    return curve_make(field, alphas)
+    return parse_curve(parts[0][len("field="):], parts[1][len("alphas="):])
 
 
 def mumford_to_json(d):

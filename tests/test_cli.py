@@ -153,9 +153,10 @@ def test_halve_solve_for_y_nonsquare(capsys):
     assert "square" in err
 
 def test_halve_off_curve(capsys):
-    code, _, err = run(capsys, ["halve"] + C1_ARGS + ["--point", "3,1"])
-    assert code == 1
-    assert "y^2" in err and "f(x)" in err
+    code, out, err = run(capsys, ["halve"] + C1_ARGS + ["--point", "3,1"])
+    assert (code, out) == (1, "")
+    assert err == ("Error: point (3, 1) is not on the curve: y^2 = 1 but "
+                   "f(x) = 3 (y^2 != f(x))\n")
 
 def test_halve_infinity_redirects(capsys):
     code, _, err = run(capsys, ["halve"] + C1_ARGS + ["--point", "inf"])
@@ -308,8 +309,15 @@ def test_theorems_with_config_file(capsys, tmp_path):
     ({"small_order_absence": [["field=7;alphas=0,1,2,3,4"]]}, "must be a string"),
     (None, "JSON null"),
     ({"order_2g_plus_1": [["7", [1], "1"]]}, "must be an integer"),
+    ({"order_2g_plus_1": [["7", 1.5, "1"]]}, "must be an integer, got 1.5"),
+    ({"order_2g_plus_1": [["7", True, "1"]]}, "must be an integer, got True"),
+    ({"order_2g_plus_1": [["7", float("inf"), "1"]]}, "must be an integer, got inf"),
+    ({"order_2g_plus_1": [["7", 0, "1"]]}, "genus >= 1, got 0"),
+    ({"order_2g_plus_1": [["7", -2, "1"]]}, "genus >= 1, got -2"),
 ], ids=["unknown-check", "not-a-dict", "instances-not-a-list",
-        "spec-not-a-string", "spec-is-a-list", "null", "genus-is-a-list"])
+        "spec-not-a-string", "spec-is-a-list", "null", "genus-is-a-list",
+        "genus-is-a-fraction", "genus-is-a-bool", "genus-is-infinite", "genus-0",
+        "genus-negative"])
 def test_theorems_malformed_config(capsys, tmp_path, config, said):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))
@@ -395,6 +403,15 @@ def test_malformed_point_exits_1(capsys):
     code, out, err = run(capsys, ["halve"] + C1_ARGS + ["--point", "(1,1"])
     assert (code, out) == (1, "")
     assert err.startswith("Error: ") and "parentheses" in err
+
+@pytest.mark.parametrize("flags, said", [
+    (["--field", "7", "--alphas", "0,1,6;2"], "bad element '6;2'"),
+    (["--field", "7;2", "--alphas", "0,1,6"], "bad field spec '7;2'"),
+], ids=["alphas", "field"])
+def test_semicolon_in_a_curve_flag_names_the_flag_text(capsys, flags, said):
+    code, out, err = run(capsys, ["enumerate"] + flags + ["points"])
+    assert (code, out) == (1, "")
+    assert said in err and "curve spec" not in err
 
 def test_bad_field_spec(capsys):
     code, _, err = run(capsys, ["halve", "--field", "6", "--alphas", "0,1,2",

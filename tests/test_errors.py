@@ -42,3 +42,7 @@ def test_invalid_input_is_a_halfjac_value_error():
 def test_invalid_type_is_a_halfjac_type_error():
     assert issubclass(errors.InvalidType, errors.HalfjacError)
     assert issubclass(errors.InvalidType, TypeError)
+
+
+def test_shared_root_with_f_is_not_a_half():
+    assert issubclass(errors.SharedRootWithF, errors.NotAHalf)

@@ -33,6 +33,7 @@ from halfjac.jacobian import (
     mumford_validate,
     neg,
     order,
+    parse_curve,
     parse_curve_spec,
     scalar_mul,
     two_torsion_classes,
@@ -106,6 +107,12 @@ def test_point_validation():
     inf = CurvePoint.infinity(C1)
     assert inf.is_infinity
     assert not p.is_infinity
+
+def test_point_not_on_curve_names_both_sides():
+    with pytest.raises(errors.PointNotOnCurve) as info:
+        CurvePoint(C1, 2, 1)                 # f(2) = 2 * 1 * (-4) = 6
+    assert str(info.value) == ("point (2, 1) is not on the curve: "
+                               "y^2 = 1 but f(x) = 6 (y^2 != f(x))")
 
 def test_point_equality():
     assert CurvePoint(C1, 4, 2) == CurvePoint(C1, 4, 2)
@@ -461,6 +468,11 @@ def test_curve_spec_round_trip():
     spec = curve_spec(c49)
     assert spec == "field=7^2:4,0;alphas=(0,0),(1,0),(3,1)"
     assert parse_curve_spec(spec) == c49
+
+def test_parse_curve_from_field_and_alphas():
+    assert parse_curve("7", "0,1,6") == C1
+    assert parse_curve("7^2:4,0", "(0,0),(1,0),(3,1)") == \
+        parse_curve_spec("field=7^2:4,0;alphas=(0,0),(1,0),(3,1)")
 
 def test_curve_spec_errors():
     for bad in ("field=7", "alphas=0,1,6", "field=7;alphas=", "field=7;alphas=0,0,1",
