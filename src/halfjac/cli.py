@@ -50,11 +50,14 @@ from .poly import poly_to_json
 from .theorems import run_battery
 
 
-def _emit(payload, output, table_lines):
+def _emit(payload, output, table):
+    """Write the payload as JSON, or for --output table each line of
+    table(), a string or an object whose str is the line. table is called
+    only then, so JSON output formats no table line."""
     if output == "json":
         click.echo(json.dumps(payload, indent=2), file=sys.stdout)
     else:
-        for line in table_lines:
+        for line in table():
             click.echo(line, file=sys.stdout)
 
 
@@ -125,8 +128,8 @@ def halve(field_text, alphas_text, point_text, no_lift, output):
         ys = list(dict.fromkeys(pair))      # sqrt(0) is (0, 0)
         payload = {"x": element_to_json(x),
                    "candidates": [element_to_json(y) for y in ys]}
-        _emit(payload, output,
-              ["x = %s" % x, "y candidates: %s" % ", ".join(str(y) for y in ys)])
+        _emit(payload, output, lambda: [
+            "x = %s" % x, "y candidates: %s" % ", ".join(str(y) for y in ys)])
         return 0
     y = parse_element(field, parts[1])
     P = CurvePoint(curve, x, y)
@@ -158,13 +161,12 @@ def halve(field_text, alphas_text, point_text, no_lift, output):
                "point": {"x": element_to_json(P2.x), "y": element_to_json(P2.y)},
                "lifted": lifted,
                "halves": entries}
-    lines = ["curve: %s" % curve_spec(curve2),
-             "point: %s%s" % (P2, "  (lifted)" if lifted else "")]
-    for h, e in zip(halves, entries):
-        lines.append("r = (%s); %s; order %d" %
-                     (", ".join(str(c) for c in h.sign_vector.r),
-                      h.mumford, e["order"]))
-    _emit(payload, output, lines)
+    _emit(payload, output, lambda: [
+        "curve: %s" % curve_spec(curve2),
+        "point: %s%s" % (P2, "  (lifted)" if lifted else "")] + [
+        "r = (%s); %s; order %d" % (", ".join(str(c) for c in h.sign_vector.r),
+                                    h.mumford, e["order"])
+        for h, e in zip(halves, entries)])
     return 0
 
 
@@ -202,9 +204,9 @@ def arith(field_text, alphas_text, op, operands, output):
         result = scalar_mul(n, pair(operands[1]))
     else:
         n = order(pair(operands[0]))
-        _emit({"order": n}, output, ["order = %d" % n])
+        _emit({"order": n}, output, lambda: ["order = %d" % n])
         return 0
-    _emit({"result": mumford_to_json(result)}, output, [str(result)])
+    _emit({"result": mumford_to_json(result)}, output, lambda: [result])
     return 0
 
 
@@ -219,7 +221,7 @@ def two_torsion(field_text, alphas_text, output):
     payload = {"curve": curve_spec(curve),
                "count": len(classes),
                "classes": [mumford_to_json(d) for d in classes]}
-    _emit(payload, output, [str(d) for d in classes])
+    _emit(payload, output, lambda: classes)
     return 0
 
 
@@ -240,14 +242,14 @@ def enumerate(field_text, alphas_text, what, degree, output):
                    for P in pts]
         payload = {"curve": curve_spec(curve), "count": len(pts),
                    "points": entries}
-        _emit(payload, output, [str(P) for P in pts])
+        _emit(payload, output, lambda: pts)
         return 0
     d = curve.g if degree is None else degree
     classes = enumerate_theta(curve, d)
     payload = {"curve": curve_spec(curve), "degree": d,
                "count": len(classes),
                "classes": [mumford_to_json(a) for a in classes]}
-    _emit(payload, output, [str(a) for a in classes])
+    _emit(payload, output, lambda: classes)
     return 0
 
 
@@ -270,18 +272,17 @@ def theorems(config_path, output):
                 "config is JSON null; omit --config to run the default battery")
     reports = run_battery(config)
     entries = []
-    lines = []
     for r in reports:
         entry = r.to_json()
         entry["status"] = ("consistent with theorem" if r.passed()
                            else "violations found")
         entries.append(entry)
-        lines.append("%-22s %-40s %6d checked  %s"
-                     % (r.theorem_id, r.curve_spec or r.field_spec,
-                        r.instances_checked, entry["status"]))
     payload = {"reports": entries,
                "all_consistent": all(r.passed() for r in reports)}
-    _emit(payload, output, lines)
+    _emit(payload, output, lambda: [
+        "%-22s %-40s %6d checked  %s" % (r.theorem_id, r.curve_spec or r.field_spec,
+                                          r.instances_checked, e["status"])
+        for r, e in zip(reports, entries)])
     return 0 if payload["all_consistent"] else 2
 
 

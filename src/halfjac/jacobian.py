@@ -9,10 +9,22 @@ Cantor composition followed by classical reduction (Cantor 1987, Math.
 Comp. 48), on the raw coefficient tuples of poly. A sum with coprime U1,
 U2 takes one xgcd and a CRT lift, a double takes the general composition
 after its one xgcd, gcd(U, 2V), as does a sum whose U1, U2 share a
-factor, and all of them share one reduction loop. The general composition on
-Polynomial objects stays in the tests (oracles.cantor_add) as the oracle
-for these shortcuts. The group law shares no formulas with the
-closed-form halving, which is what lets the two sides check each other.
+factor, and all of them share one reduction loop.
+
+At g = 2, add and double first try Lange's explicit formulas for h = 0
+(T. Lange, "Formulae for arithmetic on genus 2 hyperelliptic curves",
+AAECC 15, 2005), written once on the field's _r* methods: one inversion
+and a few dozen field operations, no polynomial xgcd or division. They
+cover the generic cases: two degree-2 classes with coprime U's and
+s1 != 0, a degree-2 and a degree-1 class with U1(-u20) != 0 (in either
+order), and the double of a degree-2 class with gcd(U, V) = 1 and
+s1 != 0. Sums and doubles share one tail (_lange). Every other case, and
+every genus but 2, takes the Cantor path above.
+
+The general composition on Polynomial objects stays in the tests
+(oracles.cantor_add) as the oracle for the formulas and the shortcuts.
+The group law shares no formulas with the closed-form halving, which is
+what lets the two sides check each other.
 
 All enumeration orders are deterministic: field elements by canonical
 index, points by (x index, y index) with infinity last, theta strata by
@@ -261,9 +273,11 @@ def _exact_div(F, a, b):
 def add(d1, d2):
     """Cantor composition of two classes followed by reduction.
 
-    With e1 U1 + e2 U2 = gcd(U1, U2) = 1 the sum is U1 U2 with the CRT
-    lift V = V1 + U1 (e1 (V2 - V1) mod U2); only a common factor of U1
-    and U2 needs the general composition."""
+    At g = 2 a generic sum of two degree-2 classes, or of a degree-2 and a
+    degree-1 class, takes an explicit formula (_sum2). Otherwise, with
+    e1 U1 + e2 U2 = gcd(U1, U2) = 1 the sum is U1 U2 with the CRT lift
+    V = V1 + U1 (e1 (V2 - V1) mod U2); only a common factor of U1 and U2
+    needs the general composition."""
     if d1.curve != d2.curve:
         raise errors.CurveMismatch("divisors live on different curves")
     if d1.is_identity():
@@ -273,6 +287,11 @@ def add(d1, d2):
     curve = d1.curve
     F = curve.field
     U1, V1, U2, V2 = d1.U.raws, d1.V.raws, d2.U.raws, d2.V.raws
+    if curve.g == 2:
+        d = (_sum2(curve, U1, V1, U2, V2) if len(U1) >= len(U2)
+             else _sum2(curve, U2, V2, U1, V1))
+        if d is not None:
+            return d
     d0, e1, e2 = raw_xgcd(F, U1, U2)
     if len(d0) == 1:
         k = raw_divrem(F, raw_mul(F, e1, raw_sub(F, V2, V1)), U2)[1]
@@ -282,12 +301,91 @@ def add(d1, d2):
 
 
 def double(d):
-    """2d: Cantor's composition with one xgcd, c1 U + c2 (2V) = gcd(U, 2V)."""
+    """2d. At g = 2 a degree-2 class with gcd(U, V) = 1 and s1 != 0 takes
+    the explicit formula, with s = k / (2V) mod U for k = (f - V^2)/U =
+    x^3 + k2 x^2 + k1 x + k0. Every other class takes Cantor's composition
+    with one xgcd, c1 U + c2 (2V) = gcd(U, 2V)."""
     curve = d.curve
     F = curve.field
     U, V = d.U.raws, d.V.raws
+    if curve.g == 2 and len(U) == 3:
+        f, A, S, M = curve.f.raws, F._radd, F._rsub, F._rmul
+        u0, u1, _ = U
+        v0, v1 = (V + (F._zero_raw,) * 2)[:2]
+        k2 = S(f[4], u1)
+        k1 = S(S(f[3], u0), M(u1, k2))
+        k0 = S(S(f[2], M(v1, v1)), A(M(u1, k1), M(u0, k2)))
+        c = S(k2, u1)                                # k = (x + c) U + (k mod U)
+        d2 = _lange(curve, U, (v0, v1), U, (S(k0, M(c, u0)), S(S(k1, u0), M(c, u1))),
+                    raw_add(F, V, V))
+        if d2 is not None:
+            return d2
     g, c1, c2 = raw_xgcd(F, U, raw_add(F, V, V))
     return _compose(curve, U, V, U, V, (), c1, c2, g)
+
+
+# --- explicit genus-2 formulas (Lange, AAECC 15, 2005, for h = 0) ---
+#
+# A degree-2 U is the raw tuple (u0, u1, 1); a V or w is padded to (v0, v1).
+# Reduced pairs are unique, so a formula and Cantor give the same class.
+
+def _sum2(curve, U1, V1, U2, V2):
+    """The sum of nonzero classes with deg U1 >= deg U2, or None when it
+    is not generic. Two degree-2 U's go through _lange with s = (V2 - V1)
+    / U1 mod U2. A degree-1 U2 = x + u20 with U1(-u20) != 0 gives U1 U2 of
+    degree 3, so one reduction step ends with a monic U' of degree 2."""
+    if len(U1) == 2:
+        return None
+    F, f = curve.field, curve.f.raws
+    A, S, M, z = F._radd, F._rsub, F._rmul, F._zero_raw
+    u10, u11, _ = U1
+    v10, v11 = (V1 + (z, z))[:2]
+    if len(U2) == 3:
+        return _lange(curve, U1, (v10, v11), U2, raw_sub(F, V2, V1), raw_sub(F, U1, U2))
+    u20, v20 = U2[0], (V2 + (z,))[0]
+    e = A(M(S(u20, u11), u20), u10)                  # U1(-u20)
+    if e == z:
+        return None
+    s = M(A(S(v20, v10), M(v11, u20)), F._rinv(e))   # (V2 - V1)/U1 at -u20
+    k2 = S(f[4], u11)                                # (f - V1^2)/U1 as in double
+    a1 = S(S(k2, M(s, s)), u20)
+    a0 = S(S(S(f[3], u10), M(u11, k2)), A(M(s, A(M(s, u11), A(v11, v11))), M(u20, a1)))
+    return _reduce(curve, (a0, a1, F._one_raw),
+                   raw_sub(F, (M(s, S(a0, u10)), M(s, S(a1, u11))), (v10, v11)))
+
+
+def _lange(curve, U1, V1, U2, w, y):
+    """The tail shared by sums and doubles: with s = s1 x + s0 = w / y mod
+    U2 (w, y of degree <= 1) and s1 != 0, the class of (U1 U2, V1 + s U1) is
+
+        U' = (s^2 U1 + 2 s V1 - k) / (s1^2 U2),   V' = -(V1 + s U1) mod U',
+
+    k = (f - V1^2)/U1, since deg(V1 + s U1) = 3 makes one reduction step
+    enough. None when y is not prime to U2 or s1 = 0."""
+    F, f = curve.field, curve.f.raws
+    A, S, M, z = F._radd, F._rsub, F._rmul, F._zero_raw
+    (u10, u11, _), (v10, v11), (u20, u21, _) = U1, V1, U2
+    (w0, w1), (y0, y1) = (w + (z, z))[:2], (y + (z, z))[:2]
+    # (y1 x + y0)(-y1 x + c) = r mod U2, so s = (t1 x + t0) / r
+    c = S(y0, M(u21, y1))
+    r = A(M(y0, c), M(u20, M(y1, y1)))
+    h = M(w1, y1)
+    t1 = A(S(M(w1, c), M(w0, y1)), M(u21, h))
+    if r == z or t1 == z:
+        return None
+    t0 = A(M(w0, c), M(u20, h))
+    inv = F._rinv(M(r, t1))                          # the one inversion
+    s1, sg, i = M(M(t1, t1), inv), M(M(t0, r), inv), M(M(r, r), inv)  # s1, s0/s1, 1/s1
+    i2, su = M(i, i), M(sg, u11)
+    # U' = x^2 + a1 x + a0 from the top three coefficients of the quotient
+    a1 = A(S(u11, u21), S(A(sg, sg), i2))
+    a0 = S(A(A(u10, A(su, su)), A(M(sg, sg), M(A(v11, v11), i))),
+           A(A(M(S(f[4], u11), i2), M(u21, a1)), u20))
+    # s U1 = s1 (x + s0/s1) U1, reduced mod U' with x^2 = -a1 x - a0
+    e = S(A(sg, u11), a1)
+    return _reduce(curve, (a0, a1, F._one_raw), raw_sub(
+        F, (M(s1, S(M(a0, e), M(sg, u10))), M(s1, S(A(a0, M(a1, e)), A(u10, su)))),
+        (v10, v11)))
 
 
 def _compose(curve, U1, V1, U2, V2, s1, s2, s3, d):
@@ -312,7 +410,8 @@ def _reduce(curve, U, V):
 
 
 def scalar_mul(n, d):
-    """n times d by double-and-add; negative n goes through neg."""
+    """n times d by double-and-add, n.bit_length() - 1 doubles; negative n
+    goes through neg."""
     if n < 0:
         return scalar_mul(-n, neg(d))
     acc = MumfordDivisor.identity(d.curve)
@@ -320,8 +419,9 @@ def scalar_mul(n, d):
     while n:
         if n & 1:
             acc = add(acc, base)
-        base = double(base)
         n >>= 1
+        if n:
+            base = double(base)
     return acc
 
 

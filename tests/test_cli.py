@@ -11,10 +11,11 @@ import io
 import json
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
-from halfjac import cli, errors
+from halfjac import cli, errors, jacobian
 from halfjac.field import element_from_json, ff_make
 from halfjac.jacobian import (
     CurvePoint,
@@ -221,6 +222,28 @@ def test_arith_smul2_matches_double_bytes(capsys):
     code2, out2, _ = run(capsys, ["arith"] + C1_ARGS + ["double", d])
     assert code1 == code2 == 0
     assert out1 == out2
+
+# the genus-2 arith lines of the README's CLI block, which CI runs
+README_G2_ARITH = [
+    ("add", '{"U": [2, 0, 1], "V": [2]}', '{"U": [2, 2, 1], "V": [5, 4]}'),
+    ("double", '{"U": [3, 1, 1], "V": [6, 1]}'),
+]
+
+@pytest.mark.parametrize("op_operands", README_G2_ARITH, ids=["add", "double"])
+def test_readme_genus2_arith_matches_cantor_oracle(capsys, monkeypatch, op_operands):
+    op, *operands = op_operands
+    line = "halfjac arith %s %s %s\n" % (" ".join(G2_ARGS), op,
+                                          " ".join("'%s'" % t for t in operands))
+    assert line in (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    curve = parse_curve_spec("field=7;alphas=0,1,2,3,4")
+    ds = [mumford_from_json(curve, json.loads(t)) for t in operands]
+    expect = {"result": mumford_to_json(oracles.cantor_add(ds[0], ds[-1]))}
+    xgcds = []                  # Cantor's composition, never the formulas
+    real = jacobian.raw_xgcd
+    monkeypatch.setattr(jacobian, "raw_xgcd", lambda *a: xgcds.append(a) or real(*a))
+    code, out, err = run(capsys, ["arith"] + G2_ARGS + [op] + operands)
+    assert (code, err, xgcds) == (0, "", [])
+    assert out == json.dumps(expect, indent=2) + "\n"
 
 def test_arith_invalid_pair(capsys):
     code, _, err = run(capsys, ["arith"] + C1_ARGS +

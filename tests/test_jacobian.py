@@ -13,7 +13,7 @@ import random
 import pytest
 
 from halfjac import errors, jacobian
-from halfjac.field import ff_make, parse_element
+from halfjac.field import ff_make, parse_element, sqrt
 from halfjac.halving import lift_to_sqrt_field
 from halfjac.poly import NEG_INFINITY, Polynomial, from_roots, gcd_xgcd
 from halfjac.jacobian import (
@@ -215,11 +215,26 @@ def _cantor_case(d1, d2):
         return "common factor, V1 = -V2"
     return "common factor, d = 1" if d.degree == 0 else "common factor, d != 1"
 
+def _sample_classes(curve, n, seed):
+    """n seeded random points of the curve as degree-1 classes, then n sums
+    of two of them by oracles.cantor_add (degree 2 when the x's differ)."""
+    rng = random.Random(seed)
+    field, points = curve.field, []
+    while len(points) < n:
+        x = field.element_at(rng.randrange(field.q))
+        ys = sqrt(curve.f.eval(x))
+        if ys is not None:
+            points.append(embed_point(CurvePoint(curve, x, rng.choice(ys))))
+    return points + [oracles.cantor_add(*rng.sample(points, 2)) for _ in range(n)]
+
 CANTOR_GROUPS = {
     "C1_F7": lambda: enumerate_theta(C1, 1),
     "C2_F7": lambda: enumerate_theta(C2, 2),
     "C1_F49": lambda: enumerate_theta(
         lift_to_sqrt_field(C1, CurvePoint(C1, 4, 2))[0], 1),
+    # (5, 1) lifts: 5 - 0 = 5 and 5 - 2 = 3 are non-squares mod 7
+    "C2_F49_sample": lambda: _sample_classes(
+        lift_to_sqrt_field(C2, CurvePoint(C2, 5, 1))[0], 20, 0),
     "g3_F7_sample": lambda: random.Random(0).sample(
         enumerate_theta(curve_make(F7, range(7)), 3), 40),
 }
@@ -246,6 +261,79 @@ def test_cantor_oracle_pairs_take_every_case():
                     "common factor, V1 = -V2", "common factor, d = 1",
                     "common factor, d != 1"}
 
+@pytest.mark.parametrize("p", [10007, 2 ** 61 - 1])
+def test_genus2_formulas_match_cantor_oracle_at_large_p(p):
+    """Seeded g = 2 samples at primes where every pair is generic but for
+    the few that share an x or meet an s1 = 0."""
+    rng = random.Random(p)
+    curve = curve_make(ff_make(p), rng.sample(range(p), 5))
+    classes = _sample_classes(curve, 12, p)
+    for d1 in classes:
+        assert double(d1) == oracles.cantor_add(d1, d1)
+        for d2 in classes:
+            assert add(d1, d2) == oracles.cantor_add(d1, d2)
+
+def _took_formula(monkeypatch, op, *operands):
+    """op(*operands) and whether it took an explicit formula: every path
+    through Cantor's composition calls raw_xgcd, and no formula does."""
+    real, calls = jacobian.raw_xgcd, []
+    monkeypatch.setattr(jacobian, "raw_xgcd", lambda *a: calls.append(a) or real(*a))
+    try:
+        return op(*operands), not calls
+    finally:
+        monkeypatch.undo()
+
+def _degrees(*ds):
+    return tuple(d.U.degree for d in ds)
+
+def _coprime(u, v):
+    return gcd_xgcd(u, v)[0].degree == 0
+
+def _sum_degree(d1, d2):
+    return oracles.cantor_add(d1, d2).U.degree
+
+# case -> (formula expected, curve, op, predicate on the operands of op);
+# the operands are the first match among the classes of the curve's group
+GENUS2_CASES = {
+    "sum": (True, C2, add, lambda a, b: _degrees(a, b) == (2, 2)
+            and _coprime(a.U, b.U) and _sum_degree(a, b) == 2),
+    "sum, s1 = 0": (False, C2, add, lambda a, b: _degrees(a, b) == (2, 2)
+                    and _coprime(a.U, b.U) and _sum_degree(a, b) < 2),
+    "sum, shared factor": (False, C2, add, lambda a, b: _degrees(a, b) == (2, 2)
+                           and not _coprime(a.U, b.U)),
+    "mixed": (True, C2, add, lambda a, b: _degrees(a, b) == (2, 1)
+              and _coprime(a.U, b.U)),
+    "mixed, reversed": (True, C2, add, lambda a, b: _degrees(a, b) == (1, 2)
+                        and _coprime(a.U, b.U)),
+    "mixed, shared factor": (False, C2, add, lambda a, b: _degrees(a, b) == (2, 1)
+                             and not _coprime(a.U, b.U)),
+    "deg U < 2": (False, C2, add, lambda a, b: _degrees(a, b) == (1, 1)
+                  and _coprime(a.U, b.U)),
+    "double": (True, C2, double, lambda a: _degrees(a) == (2,)
+               and _coprime(a.U, a.V) and _sum_degree(a, a) == 2),
+    "double, gcd(U, V) != 1": (False, C2, double, lambda a: _degrees(a) == (2,)
+                               and not _coprime(a.U, a.V)),
+    # no g = 2 curve over F_7 has such a class; this one over F_11 does
+    "double, s1 = 0": (False, curve_make(F11, [0, 1, 2, 4, 5]), double,
+                       lambda a: _degrees(a) == (2,) and _coprime(a.U, a.V)
+                       and _sum_degree(a, a) < 2),
+    "double, deg U = 1": (False, C2, double, lambda a: _degrees(a) == (1,)),
+    "g = 1 sum": (False, C1, add, lambda a, b: _degrees(a, b) == (1, 1) and a != b),
+    "g = 1 double": (False, C1, double, lambda a: _degrees(a) == (1,)),
+    "g = 3 sum": (False, curve_make(F7, range(7)), add,
+                  lambda a, b: _degrees(a, b) == (2, 2) and _coprime(a.U, b.U)),
+}
+
+@pytest.mark.parametrize("case", list(GENUS2_CASES))
+def test_each_formula_and_fallback_is_taken(case, monkeypatch):
+    expected, curve, op, pred = GENUS2_CASES[case]
+    classes = enumerate_theta(curve, min(curve.g, 2))
+    arity = 1 if op is double else 2
+    operands = next(ds for ds in itertools.product(classes, repeat=arity) if pred(*ds))
+    result, took = _took_formula(monkeypatch, op, *operands)
+    assert result == oracles.cantor_add(operands[0], operands[-1])
+    assert took is expected
+
 def test_add_outputs_reduced_and_valid():
     J = enumerate_theta(C1, 1)
     for d1, d2 in itertools.product(J, J):
@@ -270,6 +358,19 @@ def test_scalar_mul_basics():
     for n in range(1, 9):
         acc = add(acc, d)
         assert scalar_mul(n, d) == acc
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 13])
+def test_scalar_mul_doubles_bit_length_minus_one_times(n, monkeypatch):
+    d = embed_point(CurvePoint(C2, 5, 1))
+    real, calls = jacobian.double, []
+    monkeypatch.setattr(jacobian, "double", lambda e: calls.append(e) or real(e))
+    result = scalar_mul(n, d)
+    monkeypatch.undo()
+    assert len(calls) == n.bit_length() - 1
+    expect = MumfordDivisor.identity(C2)
+    for _ in range(n):
+        expect = oracles.cantor_add(expect, d)
+    assert result == expect
 
 def test_operator_sugar():
     d = embed_point(CurvePoint(C1, 4, 2))
