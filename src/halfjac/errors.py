@@ -98,10 +98,10 @@ class SquareRootMissing(HalfjacError):
     The index attribute names the offending coordinate (0-based).
     """
 
-    def __init__(self, index, message=None):
+    def __init__(self, index):
         self.index = index
-        super().__init__(message or "a - alpha_%d is not a square in the working field; "
-                                    "lift to the quadratic extension first" % (index + 1))
+        super().__init__("a - alpha_%d is not a square in the working field; "
+                         "lift to the quadratic extension first" % (index + 1))
 
 
 class SelfCheckFailed(HalfjacError):

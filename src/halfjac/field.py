@@ -521,17 +521,15 @@ def is_square(a):
 
 def sqrt(a):
     """Both square roots (x, -x) of a, canonical index of x first; None if a
-    is a non-square. Always verified by squaring before returning."""
+    is a non-square. For q = 3 mod 4, x = a^((q+1)/4) and the squaring
+    check is the non-square test; otherwise Tonelli-Shanks decides it.
+    Always verified by squaring before returning."""
     F = a.field
     if a.raw == F._zero_raw:
         return (F.zero(), F.zero())
-    if F.q % 4 == 3:
-        x = F._rpow(a.raw, (F.q + 1) // 4)
-    else:
-        if F._rpow(a.raw, (F.q - 1) // 2) != F._one_raw:
-            return None
-        x = _tonelli_shanks(F, a.raw)
-    if F._rmul(x, x) != a.raw:
+    x = (F._rpow(a.raw, (F.q + 1) // 4) if F.q % 4 == 3
+         else _tonelli_shanks(F, a.raw))
+    if x is None or F._rmul(x, x) != a.raw:
         return None
     nx = F._rneg(x)
     if F._rindex(x) > F._rindex(nx):
@@ -555,15 +553,23 @@ def _nonsquare_raw(F):
 
 
 def _tonelli_shanks(F, a):
+    """A square root of the nonzero raw a, or None when a is a non-square.
+
+    With q - 1 = 2^e s, s odd, r = a^((s+1)/2) and t = a^s keep r^2 = a t
+    throughout, and each round lowers the order 2^i of t by a power of
+    c = n^s for a non-square n. t = a^s has order 2^e exactly when
+    a^((q-1)/2) = -1, so the first round's order search is the non-square
+    test, and c, the field's non-square scan included, is first needed
+    only after it."""
     s = F.q - 1
     e = 0
     while s % 2 == 0:
         s //= 2
         e += 1
     one = F._one_raw
-    c = F._rpow(_nonsquare_raw(F), s)
-    t = F._rpow(a, s)
-    r = F._rpow(a, (s + 1) // 2)
+    x = F._rpow(a, (s - 1) // 2)
+    r = F._rmul(a, x)
+    t = F._rmul(r, x)
     m = e
     while t != one:
         t2 = t
@@ -572,8 +578,8 @@ def _tonelli_shanks(F, a):
             t2 = F._rmul(t2, t2)
             i += 1
             if i == m:
-                return F._zero_raw   # not a square; caller's verify rejects
-        b = c
+                return None
+        b = c if m < e else F._rpow(_nonsquare_raw(F), s)     # c = n^s
         for _ in range(m - i - 1):
             b = F._rmul(b, b)
         m = i

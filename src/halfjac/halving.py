@@ -14,8 +14,9 @@ div(y - v) = 2D + (a, -b) - (2g+1) inf, so 2D = (P) - (inf), and since f
 is squarefree U_r is coprime to f and divides V_r^2 - f. A failure there
 is an internal error, never a silent wrong answer. The Cantor group law
 stays in the tests and the benchmark as the independent oracle. The
-reverse direction recovers r from (U, V) through s_1 and the ratios
-V(alpha_i)/U(alpha_i).
+reverse direction recovers r and (a, b) from (U, V) through s_1 and the
+ratios V(alpha_i)/U(alpha_i), and the same certificate decides whether
+(U, V) is a half at all.
 
 When some a - alpha_i is a non-square the halves are not rational;
 lift_to_sqrt_field moves the data to the quadratic extension, where
@@ -125,9 +126,9 @@ def sqrt_choices(curve, P):
 
 
 def _sign_vector(curve, point, r):
-    """A SignVector without the constructor's checks, for sqrt_choices:
-    its r_i are verified square roots with prod r_i = -b by construction,
-    and the certificate in half_from_signs proves each half anyway."""
+    """A SignVector without the constructor's checks, for sqrt_choices
+    and recover_signs: there prod r_i = -b holds by construction, and the
+    r_i are verified square roots or proven ones by the certificate."""
     sv = SignVector.__new__(SignVector)
     sv.curve, sv.point, sv.r = curve, point, tuple(r)
     return sv
@@ -161,23 +162,28 @@ def _mumford_from_signs(curve, a, r):
             FieldElement(F, s[0]))
 
 
-def half_from_signs(sv):
-    """The half determined by one sign vector, proven before being
-    returned by the certificate f - v^2 = (x - a) U_r^2, v(a) = -b for
-    v = V_r + (-1)^g s_1 U_r (see the module docstring)."""
-    curve = sv.curve
-    a, b = sv.point.x, sv.point.y
-    U, V, s1 = _mumford_from_signs(curve, a, sv.r)
-
+def _certify(curve, a, b, U, V, s1, error):
+    """Raise error, naming the failed clause, unless (U, V) is a half of
+    (a, b): U monic of degree g, deg V < g, and v = V + (-1)^g s_1 U with
+    f - v^2 = (x - a) U^2 and v(a) = -b (see the module docstring)."""
     if not U.is_monic() or U.degree != curve.g:
-        raise errors.SelfCheckFailed("U_r is not monic of degree g")
+        raise error("U is not monic of degree g")
     if not V.degree < curve.g:
-        raise errors.SelfCheckFailed("deg V_r is not below g")
+        raise error("deg V is not below g")
     v = V + U * (-s1 if curve.g % 2 else s1)
     if curve.f - v * v != Polynomial(curve.field, [-a, 1]) * U * U:
-        raise errors.SelfCheckFailed("f - v^2 != (x - a) U_r^2")
+        raise error("f - v^2 != (x - a) U^2")
     if v.eval(a) != -b:
-        raise errors.SelfCheckFailed("v(a) != -b")
+        raise error("v(a) != -b")
+
+
+def half_from_signs(sv):
+    """The half determined by one sign vector, proven by the certificate
+    before it is returned."""
+    curve = sv.curve
+    a = sv.point.x
+    U, V, s1 = _mumford_from_signs(curve, a, sv.r)
+    _certify(curve, a, sv.point.y, U, V, s1, errors.SelfCheckFailed)
     return HalfLift(sv, MumfordDivisor(curve, U, V, validate=False))
 
 
@@ -202,14 +208,17 @@ def recover_signs(curve, U, V):
         s_1 = sigma ((alpha_2 + w_2^2) - (alpha_1 + w_1^2)) / (2 (w_1 - w_2)),
 
     well defined because w_1 = w_2 would force r_1 = r_2 and so
-    alpha_1 = alpha_2. Then the point is a = r_1^2 + alpha_1,
-    b = -prod r_i, SignVector checks that every r_i^2 + alpha_i is a, and
-    the pair must rebuild to exactly (U, V)."""
+    alpha_1 = alpha_2. Then a = r_1^2 + alpha_1 and b = -prod r_i, and the
+    certificate of half_from_signs alone decides whether (U, V) is a half
+    of (a, b); NotAHalf names the clause that fails. It proves the rest:
+    f(a) = v(a)^2 = b^2 puts (a, b) on the curve, and at x = alpha_i it
+    gives r_i = sigma v(alpha_i)/U(alpha_i) with r_i^2 = a - alpha_i. By
+    the paper's bijection a proven half is the one its r rebuilds."""
     field = curve.field
     g = curve.g
     if U.field != field or V.field != field:
         raise errors.FieldMismatch("polynomials over the wrong field")
-    if U.is_zero() or not U.is_monic() or U.degree != g:
+    if not U.is_monic() or U.degree != g:
         raise errors.NotAHalf("U must be monic of degree g")
     if not V.degree < g:
         raise errors.NotAHalf("deg V must be below g")
@@ -224,17 +233,9 @@ def recover_signs(curve, U, V):
         raise errors.NotAHalf("V(alpha_i)/U(alpha_i) coincide on the first two roots")
     s1 = sign * ((alpha2 + w2 * w2) - (alpha1 + w1 * w1)) / (field(2) * (w1 - w2))
 
-    r = tuple(s1 + sign * wi for wi in w)
+    r = [s1 + sign * wi for wi in w]
     a = r[0] * r[0] + alpha1
     b = -math.prod(r, start=field.one())
-
-    try:
-        point = CurvePoint(curve, a, b)
-        sv = SignVector(curve, point, r)
-    except (errors.PointNotOnCurve, errors.InvalidInput) as exc:
-        raise errors.NotAHalf(str(exc)) from exc
-
-    U2, V2, _ = _mumford_from_signs(curve, a, r)
-    if U2 != U or V2 != V:
-        raise errors.NotAHalf("the pair does not rebuild from its sign vector")
-    return sv, point
+    _certify(curve, a, b, U, V, s1, errors.NotAHalf)
+    point = CurvePoint(curve, a, b)
+    return _sign_vector(curve, point, r), point

@@ -14,12 +14,14 @@ factor, and all of them share one reduction loop.
 At g = 2, add and double first try Lange's explicit formulas for h = 0
 (T. Lange, "Formulae for arithmetic on genus 2 hyperelliptic curves",
 AAECC 15, 2005), written once on the field's _r* methods: one inversion
-and a few dozen field operations, no polynomial xgcd or division. They
-cover the generic cases: two degree-2 classes with coprime U's and
-s1 != 0, a degree-2 and a degree-1 class with U1(-u20) != 0 (in either
-order), and the double of a degree-2 class with gcd(U, V) = 1 and
-s1 != 0. Sums and doubles share one tail (_lange). Every other case, and
-every genus but 2, takes the Cantor path above.
+and a few dozen field operations, no polynomial xgcd. They decide every
+sum of two degree-2 classes with coprime U's, every sum of a degree-2
+and a degree-1 class with U1(-u20) != 0 (in either order), and every
+double of a degree-2 class with gcd(U, V) = 1. Sums and doubles share
+one tail (_lange); when its s is a constant (s1 = 0) the sum has degree
+1, and one reduction step reaches it. Every other case (a shared factor,
+two degree-1 classes, the double of a degree-1 class), and every genus
+but 2, takes the Cantor path above.
 
 The general composition on Polynomial objects stays in the tests
 (oracles.cantor_add) as the oracle for the formulas and the shortcuts.
@@ -301,8 +303,8 @@ def add(d1, d2):
 
 
 def double(d):
-    """2d. At g = 2 a degree-2 class with gcd(U, V) = 1 and s1 != 0 takes
-    the explicit formula, with s = k / (2V) mod U for k = (f - V^2)/U =
+    """2d. At g = 2 a degree-2 class with gcd(U, V) = 1 takes the explicit
+    formula, with s = k / (2V) mod U for k = (f - V^2)/U =
     x^3 + k2 x^2 + k1 x + k0. Every other class takes Cantor's composition
     with one xgcd, c1 U + c2 (2V) = gcd(U, 2V)."""
     curve = d.curve
@@ -356,12 +358,15 @@ def _sum2(curve, U1, V1, U2, V2):
 
 def _lange(curve, U1, V1, U2, w, y):
     """The tail shared by sums and doubles: with s = s1 x + s0 = w / y mod
-    U2 (w, y of degree <= 1) and s1 != 0, the class of (U1 U2, V1 + s U1) is
+    U2 (w, y of degree <= 1), the class of (U1 U2, V1 + s U1). For s1 != 0
+    it is
 
         U' = (s^2 U1 + 2 s V1 - k) / (s1^2 U2),   V' = -(V1 + s U1) mod U',
 
     k = (f - V1^2)/U1, since deg(V1 + s U1) = 3 makes one reduction step
-    enough. None when y is not prime to U2 or s1 = 0."""
+    enough. For s1 = 0 that step, f - (V1 + s0 U1)^2 of degree 5 over U1 U2,
+    gives a degree-1 U', and _reduce takes it; s0 = 0 leaves V1. None
+    exactly when y is not prime to U2."""
     F, f = curve.field, curve.f.raws
     A, S, M, z = F._radd, F._rsub, F._rmul, F._zero_raw
     (u10, u11, _), (v10, v11), (u20, u21, _) = U1, V1, U2
@@ -369,11 +374,15 @@ def _lange(curve, U1, V1, U2, w, y):
     # (y1 x + y0)(-y1 x + c) = r mod U2, so s = (t1 x + t0) / r
     c = S(y0, M(u21, y1))
     r = A(M(y0, c), M(u20, M(y1, y1)))
+    if r == z:
+        return None
     h = M(w1, y1)
     t1 = A(S(M(w1, c), M(w0, y1)), M(u21, h))
-    if r == z or t1 == z:
-        return None
     t0 = A(M(w0, c), M(u20, h))
+    if t1 == z:                                      # s = t0 / r, maybe 0
+        s = M(t0, F._rinv(r))
+        return _reduce(curve, raw_mul(F, U1, U2),
+                       raw_add(F, (v10, v11, z), (M(s, u10), M(s, u11), s)))
     inv = F._rinv(M(r, t1))                          # the one inversion
     s1, sg, i = M(M(t1, t1), inv), M(M(t0, r), inv), M(M(r, r), inv)  # s1, s0/s1, 1/s1
     i2, su = M(i, i), M(sg, u11)

@@ -34,6 +34,7 @@ import oracles
 C1_ARGS = ["--field", "7", "--alphas", "0,1,6"]
 C3_ARGS = ["--field", "7", "--alphas", "3,5,6"]
 G2_ARGS = ["--field", "7", "--alphas", "0,1,2,3,4"]
+G2_F11_ARGS = ["--field", "11", "--alphas", "0,1,2,4,5"]
 
 
 def run(capsys, argv):
@@ -223,25 +224,28 @@ def test_arith_smul2_matches_double_bytes(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
 
-# the genus-2 arith lines of the README's CLI block, which CI runs
+# the genus-2 arith lines of the README's CLI block, which CI runs, each
+# with its curve flags; the last doubles a half of the Weierstrass point
+# (5, 0) through the formula's s1 = 0 case
 README_G2_ARITH = [
-    ("add", '{"U": [2, 0, 1], "V": [2]}', '{"U": [2, 2, 1], "V": [5, 4]}'),
-    ("double", '{"U": [3, 1, 1], "V": [6, 1]}'),
+    (G2_ARGS, "add", '{"U": [2, 0, 1], "V": [2]}', '{"U": [2, 2, 1], "V": [5, 4]}'),
+    (G2_ARGS, "double", '{"U": [3, 1, 1], "V": [6, 1]}'),
+    (G2_F11_ARGS, "double", '{"U": [1, 0, 1], "V": [9, 2]}'),
 ]
 
-@pytest.mark.parametrize("op_operands", README_G2_ARITH, ids=["add", "double"])
-def test_readme_genus2_arith_matches_cantor_oracle(capsys, monkeypatch, op_operands):
-    op, *operands = op_operands
-    line = "halfjac arith %s %s %s\n" % (" ".join(G2_ARGS), op,
+@pytest.mark.parametrize("entry", README_G2_ARITH, ids=["add", "double", "double, s1 = 0"])
+def test_readme_genus2_arith_matches_cantor_oracle(capsys, monkeypatch, entry):
+    args, op, *operands = entry
+    line = "halfjac arith %s %s %s\n" % (" ".join(args), op,
                                           " ".join("'%s'" % t for t in operands))
     assert line in (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    curve = parse_curve_spec("field=7;alphas=0,1,2,3,4")
+    curve = jacobian.parse_curve(args[1], args[3])
     ds = [mumford_from_json(curve, json.loads(t)) for t in operands]
     expect = {"result": mumford_to_json(oracles.cantor_add(ds[0], ds[-1]))}
     xgcds = []                  # Cantor's composition, never the formulas
     real = jacobian.raw_xgcd
     monkeypatch.setattr(jacobian, "raw_xgcd", lambda *a: xgcds.append(a) or real(*a))
-    code, out, err = run(capsys, ["arith"] + G2_ARGS + [op] + operands)
+    code, out, err = run(capsys, ["arith"] + args + [op] + operands)
     assert (code, err, xgcds) == (0, "", [])
     assert out == json.dumps(expect, indent=2) + "\n"
 

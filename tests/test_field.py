@@ -251,15 +251,20 @@ def test_sqrt_matches_oracle_table_f7():
             assert got is None
 
 def test_sqrt_sound_on_every_square():
-    # covers the q = 3 mod 4 fast path (7, 27) and Tonelli-Shanks (9, 49, 121)
-    for F in (F7, F9, F27, F49, F121):
+    # covers the q = 3 mod 4 fast path (7, 27) and Tonelli-Shanks (9, 13,
+    # 49, 121 and the tower 81), which alone decides their non-squares;
+    # the roots of each element come from squaring the whole field
+    for F in (F7, F9, ff_make(13), F27, F49, F121, quadratic_extension(F9)[0]):
+        roots = {}
+        for x in F.elements():
+            roots.setdefault(x * x, set()).add(x)
         count = 0
         for a in F.elements():
             got = sqrt(a)
-            assert is_square(a) == (got is not None)
+            assert is_square(a) == (got is not None) == (a in roots)
             if got is not None:
                 x, y = got
-                assert x * x == a and y == -x
+                assert {x, y} == roots[a] and y == -x
                 assert F.index_of(x) <= F.index_of(y)
                 count += 1
         # squares are 0 plus half the nonzero elements
@@ -271,6 +276,17 @@ def test_is_square_agrees_with_exhaustive_squaring_up_to_361():
         squares = {(a * a) for a in F.elements()}
         for a in F.elements():
             assert is_square(a) == (a in squares)
+
+def test_nonsquare_is_decided_by_tonelli_shanks_alone(monkeypatch):
+    F = ff_make(7, [4, 0, 1])                    # fresh: nothing cached yet
+    a = next(x for x in F.elements() if not is_square(x))
+    real, powers = type(F)._rpow, []
+    monkeypatch.setattr(type(F), "_rpow",
+                        lambda self, x, n: powers.append(n) or real(self, x, n))
+    assert sqrt(a) is None
+    # no Euler test, and no search for the field's non-square
+    assert powers == [(3 - 1) // 2]              # 48 = 2^4 * 3: a^((s-1)/2)
+    assert F._nonsquare is None
 
 def test_sqrt_on_tower():
     F81, emb = quadratic_extension(F9)

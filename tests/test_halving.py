@@ -401,6 +401,37 @@ def test_recover_rejects_non_half():
     with pytest.raises(errors.NotAHalf):
         recover_signs(C2, found.U, found.V)
 
+# over F_7 no g = 2 point halves without a lift (a - alpha_i would take
+# five distinct values among the four squares), so every C2 pair is
+# rejected; (0, 0) on the F_11 curve has rational halves
+@pytest.mark.parametrize("curve", [C1, C3, C2, curve_make(ff_make(11), [0, 6, 7, 8, 10])],
+                         ids=["C1", "C3", "C2", "g2_F11"])
+def test_recover_decides_every_pair_exhaustively(curve):
+    """Every (U, V) with U monic of degree g and deg V < g: recover_signs
+    succeeds exactly on the halves of the points that need no lift, with
+    their sign vectors and points, and raises NotAHalf on every other."""
+    F, g = curve.field, curve.g
+    halves = {}
+    for pt in enumerate_points(curve)[:-1]:
+        if lift_to_sqrt_field(curve, pt)[0] is curve:
+            for h in halve_point(curve, pt):
+                halves[h.mumford.U, h.mumford.V] = (h.sign_vector.r, pt)
+    recovered = 0
+    for uvec in itertools.product(F.elements(), repeat=g):
+        U = Polynomial(F, list(uvec) + [1])
+        for vvec in itertools.product(F.elements(), repeat=g):
+            V = Polynomial(F, vvec)
+            if (U, V) not in halves:
+                with pytest.raises(errors.NotAHalf):
+                    recover_signs(curve, U, V)
+                continue
+            sv, back = recover_signs(curve, U, V)
+            assert (sv.r, back) == halves[U, V]
+            rebuilt = half_from_signs(sv).mumford
+            assert (rebuilt.U, rebuilt.V) == (U, V)
+            recovered += 1
+    assert recovered == len(halves)
+
 
 # --- characteristic divides the genus ---
 

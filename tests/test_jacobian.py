@@ -297,8 +297,11 @@ def _sum_degree(d1, d2):
 GENUS2_CASES = {
     "sum": (True, C2, add, lambda a, b: _degrees(a, b) == (2, 2)
             and _coprime(a.U, b.U) and _sum_degree(a, b) == 2),
-    "sum, s1 = 0": (False, C2, add, lambda a, b: _degrees(a, b) == (2, 2)
+    "sum, s1 = 0": (True, C2, add, lambda a, b: _degrees(a, b) == (2, 2)
                     and _coprime(a.U, b.U) and _sum_degree(a, b) < 2),
+    # s = (V2 - V1) / U1 mod U2 is 0
+    "sum, s = 0": (True, C2, add, lambda a, b: _degrees(a, b) == (2, 2)
+                   and _coprime(a.U, b.U) and a.V == b.V),
     "sum, shared factor": (False, C2, add, lambda a, b: _degrees(a, b) == (2, 2)
                            and not _coprime(a.U, b.U)),
     "mixed": (True, C2, add, lambda a, b: _degrees(a, b) == (2, 1)
@@ -314,9 +317,13 @@ GENUS2_CASES = {
     "double, gcd(U, V) != 1": (False, C2, double, lambda a: _degrees(a) == (2,)
                                and not _coprime(a.U, a.V)),
     # no g = 2 curve over F_7 has such a class; this one over F_11 does
-    "double, s1 = 0": (False, curve_make(F11, [0, 1, 2, 4, 5]), double,
+    "double, s1 = 0": (True, curve_make(F11, [0, 1, 2, 4, 5]), double,
                        lambda a: _degrees(a) == (2,) and _coprime(a.U, a.V)
                        and _sum_degree(a, a) < 2),
+    # y^2 = x^5 + 1: k = (f - 1)/x^2 = x^3 is 0 mod x^2, so s = 0 for (x^2, 1)
+    "double, s = 0": (True, curve_make(F11, [2, 6, 7, 8, 10]), double,
+                      lambda a: _degrees(a) == (2,) and _coprime(a.U, a.V)
+                      and ((a.curve.f - a.V * a.V) % (a.U * a.U)).is_zero()),
     "double, deg U = 1": (False, C2, double, lambda a: _degrees(a) == (1,)),
     "g = 1 sum": (False, C1, add, lambda a, b: _degrees(a, b) == (1, 1) and a != b),
     "g = 1 double": (False, C1, double, lambda a: _degrees(a) == (1,)),
