@@ -38,6 +38,8 @@ scans, square-root normalization and every deterministic enumeration in the
 package use this order.
 """
 
+import math
+
 from .errors import (
     DivisionByZero,
     EvenCharacteristic,
@@ -51,33 +53,85 @@ from .errors import (
 
 
 # The first 13 primes. As Miller-Rabin bases they decide primality for every
-# n < 3317044064679887385961981 (about 3.3 * 10^24; Sorenson and Webster,
-# "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
+# n < _PSI13 (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+# bases", Math. Comp. 2017); _PSI13 itself is the first composite that
+# passes them all, so from there on _is_prime runs Baillie-PSW instead.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI13 = 3317044064679887385961981
 
 
 def _is_prime(n):
-    """Miller-Rabin on the bases _MR_BASES: exact below ~3.3 * 10^24."""
+    """Miller-Rabin on the bases _MR_BASES below _PSI13 (~3.3 * 10^24),
+    where it is exact; Baillie-PSW at or above it (Baillie and Wagstaff,
+    "Lucas pseudoprimes", Math. Comp. 1980), which no known composite
+    passes."""
     if n < 2:
         return False
     for b in _MR_BASES:
         if n % b == 0:
             return n == b
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
+    if n < _PSI13:
+        return all(_is_strong_probable_prime(n, b) for b in _MR_BASES)
+    return _is_strong_probable_prime(n, 2) and _is_strong_lucas_probable_prime(n)
+
+
+def _is_strong_probable_prime(n, b):
+    """Miller-Rabin to base b for odd n > 2: with n - 1 = 2^s d, d odd,
+    b^d = 1 or b^(2^j d) = -1 mod n for some j < s."""
+    s = ((n - 1) & -(n - 1)).bit_length() - 1      # lowest set bit of n - 1
+    x = pow(b, (n - 1) >> s, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a, n):
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _is_strong_lucas_probable_prime(n):
+    """Strong Lucas test for odd n > 2 with Selfridge's method A: D is the
+    first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1, Q = (1 - D)/4.
+    With n + 1 = 2^s d, d odd, n passes when U_d = 0 or V_(2^j d) = 0 mod
+    n for some j < s. No such D exists for a square, so squares are
+    rejected first; a D sharing a factor with n proves n composite."""
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:
             return False
-    return True
+        D = -D - 2 if D > 0 else -D + 2
+    Q, half = (1 - D) // 4, (n + 1) // 2            # half = 1/2 mod n
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    U, V, Qk = 1, 1, Q % n                          # U_1, V_1, Q^1
+    for bit in bin((n + 1) >> s)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n    # k -> 2k
+        if bit == "1":                                             # k -> k + 1
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    if U == 0:
+        return True
+    for _ in range(s):
+        if V == 0:
+            return True
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+    return False
 
 
 class FiniteField:
@@ -462,10 +516,11 @@ def ff_make(p, modulus_poly=None):
     modulus_poly is a little-endian monic int coefficient list; degree >= 2
     moduli are checked for irreducibility over F_p.
 
-    p is tested by Miller-Rabin on the first 13 prime bases. That proves
-    primality for p < 3.3 * 10^24 (Sorenson and Webster, 2017). Above the
-    bound the test is probabilistic: a pass means p is a probable prime,
-    and the bound itself is the smallest composite that passes.
+    p is tested by Miller-Rabin on the first 13 prime bases, which proves
+    primality for p < 3.3 * 10^24 (Sorenson and Webster, 2017). From that
+    bound on, the test is Baillie-PSW: a base-2 strong test and a strong
+    Lucas test. No composite is known to pass it, but no proof rules one
+    out.
     """
     if not isinstance(p, int) or not _is_prime(p):
         raise NotPrime("%r is not prime" % (p,))
@@ -521,14 +576,12 @@ def is_square(a):
 
 def sqrt(a):
     """Both square roots (x, -x) of a, canonical index of x first; None if a
-    is a non-square. For q = 3 mod 4, x = a^((q+1)/4) and the squaring
-    check is the non-square test; otherwise Tonelli-Shanks decides it.
-    Always verified by squaring before returning."""
+    is a non-square. Tonelli-Shanks finds x and decides non-squares for
+    every q; x is verified by squaring before it is returned."""
     F = a.field
     if a.raw == F._zero_raw:
         return (F.zero(), F.zero())
-    x = (F._rpow(a.raw, (F.q + 1) // 4) if F.q % 4 == 3
-         else _tonelli_shanks(F, a.raw))
+    x = _tonelli_shanks(F, a.raw)
     if x is None or F._rmul(x, x) != a.raw:
         return None
     nx = F._rneg(x)
@@ -560,7 +613,8 @@ def _tonelli_shanks(F, a):
     c = n^s for a non-square n. t = a^s has order 2^e exactly when
     a^((q-1)/2) = -1, so the first round's order search is the non-square
     test, and c, the field's non-square scan included, is first needed
-    only after it."""
+    only after it. For q = 3 mod 4 (e = 1) there is no later round: one
+    power gives r = a^((q+1)/4) and t = a^((q-1)/2), and t decides."""
     s = F.q - 1
     e = 0
     while s % 2 == 0:
@@ -687,7 +741,7 @@ def element_from_json(F, obj):
 
 def _raw_from_json(F, obj):
     if F.base is None:
-        if not isinstance(obj, int):
+        if not isinstance(obj, int) or isinstance(obj, bool):
             raise InvalidInput("expected an int for an element of %r, got %r" % (F, obj))
         return obj % F.p
     if not isinstance(obj, list) or len(obj) != F.k:

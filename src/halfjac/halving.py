@@ -210,18 +210,18 @@ def recover_signs(curve, U, V):
     well defined because w_1 = w_2 would force r_1 = r_2 and so
     alpha_1 = alpha_2. Then a = r_1^2 + alpha_1 and b = -prod r_i, and the
     certificate of half_from_signs alone decides whether (U, V) is a half
-    of (a, b); NotAHalf names the clause that fails. It proves the rest:
-    f(a) = v(a)^2 = b^2 puts (a, b) on the curve, and at x = alpha_i it
-    gives r_i = sigma v(alpha_i)/U(alpha_i) with r_i^2 = a - alpha_i. By
-    the paper's bijection a proven half is the one its r rebuilds."""
+    of (a, b), its shape (U monic of degree g, deg V < g) included;
+    NotAHalf names the clause that fails. Only what the evaluations and
+    divisions above need is checked first: the field, no root shared with
+    f, and w_1 != w_2; none of it depends on the shape. The certificate
+    proves the rest: f(a) = v(a)^2 = b^2 puts (a, b) on the curve, and at
+    x = alpha_i it gives r_i = sigma v(alpha_i)/U(alpha_i) with
+    r_i^2 = a - alpha_i. By the paper's bijection a proven half is the one
+    its r rebuilds."""
     field = curve.field
     g = curve.g
     if U.field != field or V.field != field:
         raise errors.FieldMismatch("polynomials over the wrong field")
-    if not U.is_monic() or U.degree != g:
-        raise errors.NotAHalf("U must be monic of degree g")
-    if not V.degree < g:
-        raise errors.NotAHalf("deg V must be below g")
     u = [U.eval(alpha) for alpha in curve.alphas]
     if any(ui.is_zero() for ui in u):                # f splits into the alphas
         raise errors.SharedRootWithF("U and f have a common root")

@@ -6,10 +6,12 @@ is monic of odd degree 2g+1 and the curve has a single point at infinity.
 Group classes are the unique reduced Mumford pairs (U, V): U monic with
 deg U <= g, deg V < deg U, and U dividing V^2 - f. The group law is
 Cantor composition followed by classical reduction (Cantor 1987, Math.
-Comp. 48), on the raw coefficient tuples of poly. A sum with coprime U1,
-U2 takes one xgcd and a CRT lift, a double takes the general composition
-after its one xgcd, gcd(U, 2V), as does a sum whose U1, U2 share a
-factor, and all of them share one reduction loop.
+Comp. 48), on the raw coefficient tuples of poly. One function, _cantor,
+composes and reduces every case the genus-2 formulas below leave: a sum
+brings e1 U1 + e2 U2 = gcd(U1, U2) from one xgcd, a double brings
+gcd(U, U) = U with no xgcd, and _cantor's own xgcd then gives the gcd d
+of U1, U2 and V1 + V2. Coprime U1, U2 are no special case: there
+d0 = d = 1.
 
 At g = 2, add and double first try Lange's explicit formulas for h = 0
 (T. Lange, "Formulae for arithmetic on genus 2 hyperelliptic curves",
@@ -24,7 +26,7 @@ two degree-1 classes, the double of a degree-1 class), and every genus
 but 2, takes the Cantor path above.
 
 The general composition on Polynomial objects stays in the tests
-(oracles.cantor_add) as the oracle for the formulas and the shortcuts.
+(oracles.cantor_add) as the oracle for the formulas and for _cantor.
 The group law shares no formulas with the closed-form halving, which is
 what lets the two sides check each other.
 
@@ -276,10 +278,8 @@ def add(d1, d2):
     """Cantor composition of two classes followed by reduction.
 
     At g = 2 a generic sum of two degree-2 classes, or of a degree-2 and a
-    degree-1 class, takes an explicit formula (_sum2). Otherwise, with
-    e1 U1 + e2 U2 = gcd(U1, U2) = 1 the sum is U1 U2 with the CRT lift
-    V = V1 + U1 (e1 (V2 - V1) mod U2); only a common factor of U1 and U2
-    needs the general composition."""
+    degree-1 class, takes an explicit formula (_sum2). Every other sum
+    takes _cantor from e1 U1 + e2 U2 = gcd(U1, U2)."""
     if d1.curve != d2.curve:
         raise errors.CurveMismatch("divisors live on different curves")
     if d1.is_identity():
@@ -287,26 +287,21 @@ def add(d1, d2):
     if d2.is_identity():
         return d1
     curve = d1.curve
-    F = curve.field
     U1, V1, U2, V2 = d1.U.raws, d1.V.raws, d2.U.raws, d2.V.raws
     if curve.g == 2:
         d = (_sum2(curve, U1, V1, U2, V2) if len(U1) >= len(U2)
              else _sum2(curve, U2, V2, U1, V1))
         if d is not None:
             return d
-    d0, e1, e2 = raw_xgcd(F, U1, U2)
-    if len(d0) == 1:
-        k = raw_divrem(F, raw_mul(F, e1, raw_sub(F, V2, V1)), U2)[1]
-        return _reduce(curve, raw_mul(F, U1, U2), raw_add(F, V1, raw_mul(F, U1, k)))
-    d, c1, c2 = raw_xgcd(F, d0, raw_add(F, V1, V2))
-    return _compose(curve, U1, V1, U2, V2, raw_mul(F, c1, e1), raw_mul(F, c1, e2), c2, d)
+    return _cantor(curve, U1, V1, U2, V2, *raw_xgcd(curve.field, U1, U2))
 
 
 def double(d):
     """2d. At g = 2 a degree-2 class with gcd(U, V) = 1 takes the explicit
     formula, with s = k / (2V) mod U for k = (f - V^2)/U =
-    x^3 + k2 x^2 + k1 x + k0. Every other class takes Cantor's composition
-    with one xgcd, c1 U + c2 (2V) = gcd(U, 2V)."""
+    x^3 + k2 x^2 + k1 x + k0. Every other class takes _cantor from
+    0 U + 1 U = U = gcd(U, U), so its one xgcd is _cantor's own,
+    gcd(U, 2V)."""
     curve = d.curve
     F = curve.field
     U, V = d.U.raws, d.V.raws
@@ -322,8 +317,7 @@ def double(d):
                     raw_add(F, V, V))
         if d2 is not None:
             return d2
-    g, c1, c2 = raw_xgcd(F, U, raw_add(F, V, V))
-    return _compose(curve, U, V, U, V, (), c1, c2, g)
+    return _cantor(curve, U, V, U, V, U, (), (F._one_raw,))
 
 
 # --- explicit genus-2 formulas (Lange, AAECC 15, 2005, for h = 0) ---
@@ -397,13 +391,16 @@ def _lange(curve, U1, V1, U2, w, y):
         (v10, v11)))
 
 
-def _compose(curve, U1, V1, U2, V2, s1, s2, s3, d):
-    """Cantor's composition for d = s1 U1 + s2 U2 + s3 (V1 + V2), the gcd
-    of U1, U2 and V1 + V2, followed by reduction."""
+def _cantor(curve, U1, V1, U2, V2, d0, e1, e2):
+    """Cantor's composition from e1 U1 + e2 U2 = d0 = gcd(U1, U2), followed
+    by reduction. With c1 d0 + c2 (V1 + V2) = d, the gcd of U1, U2 and
+    V1 + V2, the composite is U = U1 U2 / d^2 and
+    V = (c1 (e1 U1 V2 + e2 U2 V1) + c2 (V1 V2 + f)) / d mod U."""
     F, f = curve.field, curve.f.raws
+    d, c1, c2 = raw_xgcd(F, d0, raw_add(F, V1, V2))
     U = _exact_div(F, raw_mul(F, U1, U2), raw_mul(F, d, d))
-    t = raw_add(F, raw_mul(F, raw_mul(F, s1, U1), V2), raw_mul(F, raw_mul(F, s2, U2), V1))
-    t = raw_add(F, t, raw_mul(F, s3, raw_add(F, raw_mul(F, V1, V2), f)))
+    t = raw_add(F, raw_mul(F, raw_mul(F, e1, U1), V2), raw_mul(F, raw_mul(F, e2, U2), V1))
+    t = raw_add(F, raw_mul(F, c1, t), raw_mul(F, c2, raw_add(F, raw_mul(F, V1, V2), f)))
     return _reduce(curve, U, raw_divrem(F, _exact_div(F, t, d), U)[1])
 
 

@@ -158,9 +158,11 @@ def _exact_div(a, b):
 
 
 def cantor_add(d1, d2):
-    """Cantor composition and reduction on Polynomial objects, in the
-    general form for every case (two xgcds, no coprime shortcut): the
-    reference for jacobian.add and jacobian.double."""
+    """Cantor composition and reduction on Polynomial objects, two xgcds
+    for every case: the reference for jacobian.add and jacobian.double.
+    It stays an independent copy of jacobian._cantor, written with
+    Polynomial operators rather than the group law's raw code, so the
+    genus-2 formulas and _cantor are both checked against it."""
     from halfjac import errors
     from halfjac.jacobian import MumfordDivisor
     from halfjac.poly import gcd_xgcd

@@ -17,7 +17,10 @@ from halfjac import errors
 from halfjac.field import (
     FieldElement,
     FiniteField,
+    _PSI13,
     _is_prime,
+    _is_strong_lucas_probable_prime,
+    _is_strong_probable_prime,
     _nonsquare_raw,
     element_from_json,
     element_text,
@@ -93,11 +96,35 @@ def test_is_prime_agrees_with_trial_division_below_1e5():
         assert _is_prime(n) == is_prime_trial(n), n
 
 def test_is_prime_rejects_strong_pseudoprimes():
-    # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime base up to 31
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime base up
+    # to 31, which the Lucas half of Baillie-PSW rejects on its own
     for n, factors in ((3215031751, (151, 751, 28351)),
                        (3825123056546413051, (149491, 747451, 34233211))):
         assert n == factors[0] * factors[1] * factors[2]
         assert not _is_prime(n)
+        assert _is_strong_probable_prime(n, 2)
+        assert not _is_strong_lucas_probable_prime(n)
+
+def test_psi13_is_not_prime():
+    # the smallest composite that passes all 13 bases, so Baillie-PSW decides
+    assert _PSI13 == 1287836182261 * 2575672364521
+    with pytest.raises(errors.NotPrime):
+        ff_make(_PSI13)
+
+def test_strong_lucas_pseudoprimes_fail_base_2():
+    # the five smallest strong Lucas pseudoprimes for Selfridge's parameters
+    for n in (5459, 5777, 10877, 16109, 18971):
+        assert _is_strong_lucas_probable_prime(n)
+        assert not _is_strong_probable_prime(n, 2)
+
+def test_is_prime_accepts_large_primes():
+    for n in (2 ** 89 - 1, 2 ** 127 - 1, 2 ** 255 - 19, 2 ** 521 - 1):
+        assert n >= _PSI13 and _is_prime(n)
+
+def test_baillie_psw_agrees_with_trial_division_below_2e5():
+    for n in range(3, 2 * 10 ** 5, 2):
+        bpsw = _is_strong_probable_prime(n, 2) and _is_strong_lucas_probable_prime(n)
+        assert bpsw == is_prime_trial(n), n
 
 def test_large_mersenne_prime_field():
     F = ff_make(2 ** 61 - 1)
@@ -251,9 +278,9 @@ def test_sqrt_matches_oracle_table_f7():
             assert got is None
 
 def test_sqrt_sound_on_every_square():
-    # covers the q = 3 mod 4 fast path (7, 27) and Tonelli-Shanks (9, 13,
-    # 49, 121 and the tower 81), which alone decides their non-squares;
-    # the roots of each element come from squaring the whole field
+    # Tonelli-Shanks at q = 3 mod 4 (7, 27: one round) and q = 1 mod 4
+    # (9, 13, 49, 121 and the tower 81), where it alone decides the
+    # non-squares; the roots of each element come from squaring the field
     for F in (F7, F9, ff_make(13), F27, F49, F121, quadratic_extension(F9)[0]):
         roots = {}
         for x in F.elements():
@@ -278,15 +305,18 @@ def test_is_square_agrees_with_exhaustive_squaring_up_to_361():
             assert is_square(a) == (a in squares)
 
 def test_nonsquare_is_decided_by_tonelli_shanks_alone(monkeypatch):
-    F = ff_make(7, [4, 0, 1])                    # fresh: nothing cached yet
-    a = next(x for x in F.elements() if not is_square(x))
-    real, powers = type(F)._rpow, []
-    monkeypatch.setattr(type(F), "_rpow",
-                        lambda self, x, n: powers.append(n) or real(self, x, n))
-    assert sqrt(a) is None
-    # no Euler test, and no search for the field's non-square
-    assert powers == [(3 - 1) // 2]              # 48 = 2^4 * 3: a^((s-1)/2)
-    assert F._nonsquare is None
+    # q - 1 = 2^e s: 6 = 2 * 3 and 26 = 2 * 13 (q = 3 mod 4), 48 = 2^4 * 3
+    for p, modulus, s in ((7, None, 3), (3, [1, 2, 0, 1], 13), (7, [4, 0, 1], 3)):
+        F = ff_make(p, modulus)                  # fresh: nothing cached yet
+        a = next(x for x in F.elements() if not is_square(x))
+        real, powers = type(F)._rpow, []
+        monkeypatch.setattr(type(F), "_rpow",
+                            lambda self, x, n: powers.append(n) or real(self, x, n))
+        assert sqrt(a) is None
+        monkeypatch.undo()
+        # no Euler test, no a^((q+1)/4), and no search for the non-square
+        assert powers == [(s - 1) // 2], F
+        assert F._nonsquare is None
 
 def test_sqrt_on_tower():
     F81, emb = quadratic_extension(F9)

@@ -371,11 +371,13 @@ def test_recover_shared_root():
         recover_signs(C1, Polynomial.x(F7), Polynomial.constant(F7(1)))
 
 def test_recover_shape_errors():
-    with pytest.raises(errors.NotAHalf):
+    # the certificate's first two clauses decide the shape
+    with pytest.raises(errors.NotAHalf, match="U is not monic of degree g"):
         recover_signs(C1, P(F7, 3, 2), P(F7, 2))        # not monic
-    with pytest.raises(errors.NotAHalf):
-        recover_signs(C1, Polynomial.one(F7), Polynomial.zero(F7))  # deg U != g
-    with pytest.raises(errors.NotAHalf):
+    # V = x keeps the ratios V(alpha_i)/U(alpha_i) = alpha_i distinct
+    with pytest.raises(errors.NotAHalf, match="U is not monic of degree g"):
+        recover_signs(C1, Polynomial.one(F7), Polynomial.x(F7))     # deg U != g
+    with pytest.raises(errors.NotAHalf, match="deg V is not below g"):
         recover_signs(C13, P(F13, 2, 0, 1), P(F13, 0, 0, 1))        # deg V too big
 
 def test_recover_rejects_equal_first_ratios():

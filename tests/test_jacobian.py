@@ -273,13 +273,14 @@ def test_genus2_formulas_match_cantor_oracle_at_large_p(p):
         for d2 in classes:
             assert add(d1, d2) == oracles.cantor_add(d1, d2)
 
-def _took_formula(monkeypatch, op, *operands):
-    """op(*operands) and whether it took an explicit formula: every path
-    through Cantor's composition calls raw_xgcd, and no formula does."""
+def _xgcd_calls(monkeypatch, op, *operands):
+    """op(*operands) and the number of raw_xgcd calls it made: no formula
+    makes one, and the one composition makes one of its own, after the
+    xgcd of U1 and U2 that a sum brings to it."""
     real, calls = jacobian.raw_xgcd, []
     monkeypatch.setattr(jacobian, "raw_xgcd", lambda *a: calls.append(a) or real(*a))
     try:
-        return op(*operands), not calls
+        return op(*operands), len(calls)
     finally:
         monkeypatch.undo()
 
@@ -337,9 +338,9 @@ def test_each_formula_and_fallback_is_taken(case, monkeypatch):
     classes = enumerate_theta(curve, min(curve.g, 2))
     arity = 1 if op is double else 2
     operands = next(ds for ds in itertools.product(classes, repeat=arity) if pred(*ds))
-    result, took = _took_formula(monkeypatch, op, *operands)
+    result, xgcds = _xgcd_calls(monkeypatch, op, *operands)
     assert result == oracles.cantor_add(operands[0], operands[-1])
-    assert took is expected
+    assert xgcds == (0 if expected else 1 if op is double else 2)
 
 def test_add_outputs_reduced_and_valid():
     J = enumerate_theta(C1, 1)
@@ -598,3 +599,13 @@ def test_mumford_json_round_trip():
     assert mumford_from_json(C1, {"U": [1], "V": []}) == ident
     with pytest.raises(errors.InvalidDivisor):
         mumford_from_json(C1, {"U": [3, 1], "V": [1]})
+
+def test_mumford_json_rejects_booleans():
+    # a bool is an int to Python, but JSON true/false are no field elements;
+    # read as 1, {"U": [3, true], "V": [2]} would be the class of (4, 2)
+    for data in ({"U": [3, True], "V": [2]}, {"U": [3, 1], "V": [False]}):
+        with pytest.raises(errors.InvalidInput):
+            mumford_from_json(C1, data)
+    curve = parse_curve("7^2:4,0", "(0,0),(1,0),(3,1)")
+    with pytest.raises(errors.InvalidInput):
+        mumford_from_json(curve, {"U": [[3, True], [1, 0]], "V": [[2, 0]]})
