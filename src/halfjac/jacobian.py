@@ -4,14 +4,16 @@ coordinates.
 Curves are built from the distinct roots of f, so f = prod(x - alpha_i)
 is monic of odd degree 2g+1 and the curve has a single point at infinity.
 Group classes are the unique reduced Mumford pairs (U, V): U monic with
-deg U <= g, deg V < deg U, and U dividing V^2 - f. The group law is
-Cantor composition followed by classical reduction (Cantor 1987, Math.
-Comp. 48), on the raw coefficient tuples of poly. One function, _cantor,
-composes and reduces every case the genus-2 formulas below leave: a sum
-brings e1 U1 + e2 U2 = gcd(U1, U2) from one xgcd, a double brings
-gcd(U, U) = U with no xgcd, and _cantor's own xgcd then gives the gcd d
-of U1, U2 and V1 + V2. Coprime U1, U2 are no special case: there
-d0 = d = 1.
+deg U <= g, deg V < deg U, and U dividing V^2 - f. The group law runs on
+the raw coefficient tuples of poly, along three paths.
+
+The paper identifies the curve with its image in J: a point (a, b) is
+the degree-1 class (x - a, b). Every sum with a degree-1 operand and
+every double of a degree-1 class takes one point-addition step,
+_add_point, in every genus, for one field inversion: a CRT step when
+U(a) != 0, a cancellation when V(a) = -b (b = 0 included), and a Hensel
+step when V(a) = b != 0. The first and the last give U (x - a), which
+one reduction step brings back to degree g when it exceeds it.
 
 At g = 2, add and double first try Lange's explicit formulas for h = 0
 (T. Lange, "Formulae for arithmetic on genus 2 hyperelliptic curves",
@@ -21,12 +23,18 @@ sum of two degree-2 classes with coprime U's, every sum of a degree-2
 and a degree-1 class with U1(-u20) != 0 (in either order), and every
 double of a degree-2 class with gcd(U, V) = 1. Sums and doubles share
 one tail (_lange); when its s is a constant (s1 = 0) the sum has degree
-1, and one reduction step reaches it. Every other case (a shared factor,
-two degree-1 classes, the double of a degree-1 class), and every genus
-but 2, takes the Cantor path above.
+1, and one reduction step reaches it.
+
+Every other case, where both classes have degree >= 2, takes Cantor's
+composition followed by classical reduction (Cantor 1987, Math. Comp.
+48) in one function, _cantor: a sum brings e1 U1 + e2 U2 = gcd(U1, U2)
+from one xgcd, a double brings gcd(U, U) = U with no xgcd, and _cantor's
+own xgcd then gives the gcd d of U1, U2 and V1 + V2. A sum of a class
+with itself is a double.
 
 The general composition on Polynomial objects stays in the tests
-(oracles.cantor_add) as the oracle for the formulas and for _cantor.
+(oracles.cantor_add) as the oracle for the formulas, for _add_point and
+for _cantor.
 The group law shares no formulas with the closed-form halving, which is
 what lets the two sides check each other.
 
@@ -56,6 +64,7 @@ from .poly import (
     poly_to_json,
     raw_add,
     raw_divrem,
+    raw_eval,
     raw_mul,
     raw_scale,
     raw_sub,
@@ -275,11 +284,13 @@ def _exact_div(F, a, b):
 
 
 def add(d1, d2):
-    """Cantor composition of two classes followed by reduction.
+    """The sum of two classes.
 
     At g = 2 a generic sum of two degree-2 classes, or of a degree-2 and a
-    degree-1 class, takes an explicit formula (_sum2). Every other sum
-    takes _cantor from e1 U1 + e2 U2 = gcd(U1, U2)."""
+    degree-1 class, takes an explicit formula (_sum2). Any other sum with a
+    degree-1 operand takes one point-addition step (_add_point), a class
+    added to itself is doubled, and every sum left takes _cantor from
+    e1 U1 + e2 U2 = gcd(U1, U2)."""
     if d1.curve != d2.curve:
         raise errors.CurveMismatch("divisors live on different curves")
     if d1.is_identity():
@@ -293,18 +304,29 @@ def add(d1, d2):
              else _sum2(curve, U2, V2, U1, V1))
         if d is not None:
             return d
+    if len(U2) == 2:
+        return _add_point(curve, U1, V1, U2, V2)
+    if len(U1) == 2:
+        return _add_point(curve, U2, V2, U1, V1)
+    if U1 == U2 and V1 == V2:
+        return double(d1)
     return _cantor(curve, U1, V1, U2, V2, *raw_xgcd(curve.field, U1, U2))
 
 
 def double(d):
-    """2d. At g = 2 a degree-2 class with gcd(U, V) = 1 takes the explicit
-    formula, with s = k / (2V) mod U for k = (f - V^2)/U =
-    x^3 + k2 x^2 + k1 x + k0. Every other class takes _cantor from
+    """2d. A degree-1 class takes one point-addition step, d + d. At g = 2
+    a degree-2 class with gcd(U, V) = 1 takes the explicit formula, with
+    s = k / (2V) mod U for k = (f - V^2)/U = x^3 + k2 x^2 + k1 x + k0.
+    Every other class but the identity takes _cantor from
     0 U + 1 U = U = gcd(U, U), so its one xgcd is _cantor's own,
     gcd(U, 2V)."""
     curve = d.curve
     F = curve.field
     U, V = d.U.raws, d.V.raws
+    if len(U) == 1:
+        return d
+    if len(U) == 2:
+        return _add_point(curve, U, V, U, V)
     if curve.g == 2 and len(U) == 3:
         f, A, S, M = curve.f.raws, F._radd, F._rsub, F._rmul
         u0, u1, _ = U
@@ -318,6 +340,37 @@ def double(d):
         if d2 is not None:
             return d2
     return _cantor(curve, U, V, U, V, U, (), (F._one_raw,))
+
+
+def _add_point(curve, U, V, L, W):
+    """The sum of the nonzero class (U, V) and the degree-1 class
+    (L, W) = (x - a, b), for one field inversion:
+
+    - U(a) != 0: a CRT step, V' = V + ((b - V(a)) / U(a)) U;
+    - V(a) = -b (b = 0 included): the point cancels, U' = U / (x - a)
+      and V' = V mod U';
+    - V(a) = b != 0: a Hensel step, V' = V + (K(a) / 2b) U, with
+      K = (f - V^2)/U, so that x - a divides (V'^2 - f)/U.
+
+    In the first and the last case U' = U (x - a), and _reduce takes it
+    back to degree g when it exceeds it."""
+    F = curve.field
+    z = F._zero_raw
+    a, b = F._rneg(L[0]), (W + (z,))[0]
+    va = raw_eval(F, V, a)
+    ua = raw_eval(F, U, a)
+    if ua != z:
+        t = F._rmul(F._rsub(b, va), F._rinv(ua))
+    elif F._radd(va, b) == z:
+        Q = _exact_div(F, U, L)
+        return MumfordDivisor(curve, from_raws(F, Q), from_raws(F, raw_divrem(F, V, Q)[1]),
+                              validate=False)
+    else:
+        K = _exact_div(F, raw_sub(F, curve.f.raws, raw_mul(F, V, V)), U)
+        t = F._rmul(raw_eval(F, K, a), F._rinv(F._radd(b, b)))
+    if t != z:
+        V = raw_add(F, V, raw_scale(F, U, t))
+    return _reduce(curve, raw_mul(F, U, L), V)
 
 
 # --- explicit genus-2 formulas (Lange, AAECC 15, 2005, for h = 0) ---

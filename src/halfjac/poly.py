@@ -154,7 +154,8 @@ def raw_xgcd(F, a, b):
     return r0, s0, t0
 
 
-def _eval(F, a, x):
+def raw_eval(F, a, x):
+    """a(x) by Horner, for a raw x of F."""
     radd, rmul = F._radd, F._rmul
     acc = F._zero_raw
     for c in reversed(a):
@@ -295,7 +296,7 @@ class Polynomial:
 
     def eval(self, x0):
         F = self.field
-        return FieldElement(F, _eval(F, self.raws, F(x0).raw))
+        return FieldElement(F, raw_eval(F, self.raws, F(x0).raw))
 
     def compose(self, other):
         """self(other(x)), by Horner in the polynomial ring."""
@@ -391,7 +392,7 @@ def roots_in_field(a):
     for x0 in F.elements():
         if len(work) <= 1:
             break
-        if _eval(F, work, x0.raw) == F._zero_raw:
+        if raw_eval(F, work, x0.raw) == F._zero_raw:
             lin = (F._rneg(x0.raw), F._one_raw)
             mult = 0
             while True:

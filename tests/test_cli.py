@@ -35,6 +35,7 @@ C1_ARGS = ["--field", "7", "--alphas", "0,1,6"]
 C3_ARGS = ["--field", "7", "--alphas", "3,5,6"]
 G2_ARGS = ["--field", "7", "--alphas", "0,1,2,3,4"]
 G2_F11_ARGS = ["--field", "11", "--alphas", "0,1,2,4,5"]
+G3_F11_ARGS = ["--field", "11", "--alphas", "0,1,2,3,4,5,6"]
 
 
 def run(capsys, argv):
@@ -247,6 +248,26 @@ def test_readme_genus2_arith_matches_cantor_oracle(capsys, monkeypatch, entry):
     monkeypatch.setattr(jacobian, "raw_xgcd", lambda *a: xgcds.append(a) or real(*a))
     code, out, err = run(capsys, ["arith"] + args + [op] + operands)
     assert (code, err, xgcds) == (0, "", [])
+    assert out == json.dumps(expect, indent=2) + "\n"
+
+def test_readme_genus3_smul_takes_two_hensel_steps(capsys, monkeypatch):
+    """The genus-3 arith line of the README: 3P for P = (8, 4) is a double
+    and a sum, each a Hensel step of the point-addition step. Each step
+    makes one exact division, K = (f - V^2)/U, and no reduction runs, as
+    U = (x + 3)^3 has degree g."""
+    point = '{"U": [3, 1], "V": [4]}'
+    line = "halfjac arith %s smul 3 '%s'\n" % (" ".join(G3_F11_ARGS), point)
+    assert line in (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    d = mumford_from_json(jacobian.parse_curve(G3_F11_ARGS[1], G3_F11_ARGS[3]),
+                          json.loads(point))
+    expect = {"result": mumford_to_json(oracles.cantor_add(oracles.cantor_add(d, d), d))}
+    assert expect["result"]["U"] == [5, 5, 9, 1]
+    divisions, xgcds = [], []
+    real_div, real_xgcd = jacobian._exact_div, jacobian.raw_xgcd
+    monkeypatch.setattr(jacobian, "_exact_div", lambda *a: divisions.append(a) or real_div(*a))
+    monkeypatch.setattr(jacobian, "raw_xgcd", lambda *a: xgcds.append(a) or real_xgcd(*a))
+    code, out, err = run(capsys, ["arith"] + G3_F11_ARGS + ["smul", "3", point])
+    assert (code, err, len(divisions), xgcds) == (0, "", 2, [])
     assert out == json.dumps(expect, indent=2) + "\n"
 
 def test_arith_invalid_pair(capsys):

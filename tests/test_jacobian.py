@@ -11,6 +11,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from halfjac import errors, jacobian
 from halfjac.field import ff_make, parse_element, sqrt
@@ -273,10 +274,44 @@ def test_genus2_formulas_match_cantor_oracle_at_large_p(p):
         for d2 in classes:
             assert add(d1, d2) == oracles.cantor_add(d1, d2)
 
+def _point_from(curve, x, flip):
+    """The first affine point at x, x + 1, ..., by sqrt; flip picks the
+    second root."""
+    F = curve.field
+    while True:
+        ys = sqrt(curve.f.eval(F(x)))
+        if ys is not None:
+            return embed_point(CurvePoint(curve, F(x), ys[flip]))
+        x += 1
+
+# below both primes, so distinct draws stay distinct mod p
+SMALLER = st.integers(0, 2 ** 61 - 2)
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.sampled_from([2 ** 61 - 1, 2 ** 64 - 2 ** 32 + 1]), st.integers(1, 3),
+       st.lists(SMALLER, min_size=7, max_size=7, unique=True),
+       SMALLER, SMALLER, st.integers(0, 1), st.integers(0, 1))
+def test_group_law_matches_cantor_oracle_at_large_q(p, g, roots, x1, x2, f1, f2):
+    """P + Q, P + P, P + (-P), kP + P and kP + (-P) for k <= g, at primes
+    that no exhaustive group reaches; 2^64 - 2^32 + 1 has 2-adicity 32."""
+    curve = curve_make(ff_make(p), roots[:2 * g + 1])
+    P, Q = _point_from(curve, x1, f1), _point_from(curve, x2, f2)
+    assert add(P, Q) == oracles.cantor_add(P, Q)
+    assert add(P, P) == double(P) == oracles.cantor_add(P, P)
+    assert add(P, neg(P)).is_identity()
+    kP = P
+    for k in range(1, g + 1):
+        assert scalar_mul(k, P) == kP
+        assert add(kP, neg(P)) == oracles.cantor_add(kP, neg(P))
+        kP_next = oracles.cantor_add(kP, P)
+        assert add(kP, P) == add(P, kP) == kP_next
+        kP = kP_next
+    assert scalar_mul(g + 1, P) == kP
+
 def _xgcd_calls(monkeypatch, op, *operands):
     """op(*operands) and the number of raw_xgcd calls it made: no formula
-    makes one, and the one composition makes one of its own, after the
-    xgcd of U1 and U2 that a sum brings to it."""
+    and no point-addition step makes one, and the one composition makes one
+    of its own, after the xgcd of U1 and U2 that a sum brings to it."""
     real, calls = jacobian.raw_xgcd, []
     monkeypatch.setattr(jacobian, "raw_xgcd", lambda *a: calls.append(a) or real(*a))
     try:
@@ -293,43 +328,65 @@ def _coprime(u, v):
 def _sum_degree(d1, d2):
     return oracles.cantor_add(d1, d2).U.degree
 
-# case -> (formula expected, curve, op, predicate on the operands of op);
-# the operands are the first match among the classes of the curve's group
+def _is_twice(d, p):
+    """d == 2p for a degree-1 class p off the Weierstrass points."""
+    return not p.V.is_zero() and d == oracles.cantor_add(p, p)
+
+G3_F7 = curve_make(F7, range(7))          # every affine point is a Weierstrass point
+G3_F11 = curve_make(F11, range(7))        # (8, 4) is not: f(8) = 8! = 5 = 4^2
+
+# case -> (raw_xgcd calls, curve, op, predicate on the operands of op): 0 for
+# a formula or a point-addition step, 1 for Cantor's double, 2 for Cantor's
+# sum; the operands are the first match among the classes of degree <= 2
 GENUS2_CASES = {
-    "sum": (True, C2, add, lambda a, b: _degrees(a, b) == (2, 2)
+    "sum": (0, C2, add, lambda a, b: _degrees(a, b) == (2, 2)
             and _coprime(a.U, b.U) and _sum_degree(a, b) == 2),
-    "sum, s1 = 0": (True, C2, add, lambda a, b: _degrees(a, b) == (2, 2)
+    "sum, s1 = 0": (0, C2, add, lambda a, b: _degrees(a, b) == (2, 2)
                     and _coprime(a.U, b.U) and _sum_degree(a, b) < 2),
     # s = (V2 - V1) / U1 mod U2 is 0
-    "sum, s = 0": (True, C2, add, lambda a, b: _degrees(a, b) == (2, 2)
+    "sum, s = 0": (0, C2, add, lambda a, b: _degrees(a, b) == (2, 2)
                    and _coprime(a.U, b.U) and a.V == b.V),
-    "sum, shared factor": (False, C2, add, lambda a, b: _degrees(a, b) == (2, 2)
-                           and not _coprime(a.U, b.U)),
-    "mixed": (True, C2, add, lambda a, b: _degrees(a, b) == (2, 1)
+    "sum, shared factor": (2, C2, add, lambda a, b: _degrees(a, b) == (2, 2)
+                           and not _coprime(a.U, b.U) and a != b),
+    # add(a, a) is double(a), here Lange's: _lange gives up on the sum at once
+    "sum, same class": (0, C2, add, lambda a, b: a == b and _degrees(a) == (2,)
+                        and _coprime(a.U, a.V)),
+    "mixed": (0, C2, add, lambda a, b: _degrees(a, b) == (2, 1)
               and _coprime(a.U, b.U)),
-    "mixed, reversed": (True, C2, add, lambda a, b: _degrees(a, b) == (1, 2)
+    "mixed, reversed": (0, C2, add, lambda a, b: _degrees(a, b) == (1, 2)
                         and _coprime(a.U, b.U)),
-    "mixed, shared factor": (False, C2, add, lambda a, b: _degrees(a, b) == (2, 1)
+    # every other sum with a degree-1 operand takes the point-addition step
+    "mixed, shared factor": (0, C2, add, lambda a, b: _degrees(a, b) == (2, 1)
                              and not _coprime(a.U, b.U)),
-    "deg U < 2": (False, C2, add, lambda a, b: _degrees(a, b) == (1, 1)
+    "cancellation, 2P + (-P)": (0, C2, add, lambda a, b: _degrees(a, b) == (2, 1)
+                                and _is_twice(a, neg(b))),
+    "deg U < 2": (0, C2, add, lambda a, b: _degrees(a, b) == (1, 1)
                   and _coprime(a.U, b.U)),
-    "double": (True, C2, double, lambda a: _degrees(a) == (2,)
+    "double": (0, C2, double, lambda a: _degrees(a) == (2,)
                and _coprime(a.U, a.V) and _sum_degree(a, a) == 2),
-    "double, gcd(U, V) != 1": (False, C2, double, lambda a: _degrees(a) == (2,)
+    "double, gcd(U, V) != 1": (1, C2, double, lambda a: _degrees(a) == (2,)
                                and not _coprime(a.U, a.V)),
     # no g = 2 curve over F_7 has such a class; this one over F_11 does
-    "double, s1 = 0": (True, curve_make(F11, [0, 1, 2, 4, 5]), double,
+    "double, s1 = 0": (0, curve_make(F11, [0, 1, 2, 4, 5]), double,
                        lambda a: _degrees(a) == (2,) and _coprime(a.U, a.V)
                        and _sum_degree(a, a) < 2),
     # y^2 = x^5 + 1: k = (f - 1)/x^2 = x^3 is 0 mod x^2, so s = 0 for (x^2, 1)
-    "double, s = 0": (True, curve_make(F11, [2, 6, 7, 8, 10]), double,
+    "double, s = 0": (0, curve_make(F11, [2, 6, 7, 8, 10]), double,
                       lambda a: _degrees(a) == (2,) and _coprime(a.U, a.V)
                       and ((a.curve.f - a.V * a.V) % (a.U * a.U)).is_zero()),
-    "double, deg U = 1": (False, C2, double, lambda a: _degrees(a) == (1,)),
-    "g = 1 sum": (False, C1, add, lambda a, b: _degrees(a, b) == (1, 1) and a != b),
-    "g = 1 double": (False, C1, double, lambda a: _degrees(a) == (1,)),
-    "g = 3 sum": (False, curve_make(F7, range(7)), add,
-                  lambda a, b: _degrees(a, b) == (2, 2) and _coprime(a.U, b.U)),
+    "double, deg U = 1": (0, C2, double, lambda a: _degrees(a) == (1,)
+                          and not a.V.is_zero()),
+    "double, Weierstrass": (0, C2, double, lambda a: _degrees(a) == (1,)
+                            and a.V.is_zero()),
+    "g = 1 sum": (0, C1, add, lambda a, b: _degrees(a, b) == (1, 1) and a != b),
+    "g = 1 double": (0, C1, double, lambda a: _degrees(a) == (1,)),
+    "g = 3 sum": (2, G3_F7, add, lambda a, b: _degrees(a, b) == (2, 2)
+                  and _coprime(a.U, b.U)),
+    # Cantor's double, reached through add: its own xgcd, not a sum's two
+    "g = 3 sum, same class": (1, G3_F7, add, lambda a, b: a == b
+                              and _degrees(a) == (2,)),
+    "g = 3 Hensel step, P + 2P": (0, G3_F11, add, lambda a, b: _degrees(a, b) == (1, 2)
+                                  and _is_twice(b, a)),
 }
 
 @pytest.mark.parametrize("case", list(GENUS2_CASES))
@@ -340,7 +397,30 @@ def test_each_formula_and_fallback_is_taken(case, monkeypatch):
     operands = next(ds for ds in itertools.product(classes, repeat=arity) if pred(*ds))
     result, xgcds = _xgcd_calls(monkeypatch, op, *operands)
     assert result == oracles.cantor_add(operands[0], operands[-1])
-    assert xgcds == (0 if expected else 1 if op is double else 2)
+    assert xgcds == expected
+
+POINT_STEP_GROUPS = {
+    "C1_F7": lambda: enumerate_theta(C1, 1),
+    "C2_F7": lambda: enumerate_theta(C2, 2),
+    "G3_F7": lambda: enumerate_theta(G3_F7, 3),
+    "G3_F11_theta2": lambda: enumerate_theta(G3_F11, 2),
+    "C1_F49": lambda: _cantor_group("C1_F49"),
+}
+
+@pytest.mark.parametrize("name", list(POINT_STEP_GROUPS))
+def test_degree_1_operands_never_reach_cantor(name, monkeypatch):
+    """Every sum with a degree-1 operand, and so every double of a degree-1
+    class, takes the formulas or the point-addition step, never _cantor."""
+    classes = POINT_STEP_GROUPS[name]()
+    points = [d for d in classes if d.U.degree == 1]
+    assert points
+    real, calls = jacobian._cantor, []
+    monkeypatch.setattr(jacobian, "_cantor", lambda *a: calls.append(a) or real(*a))
+    for p in points:
+        assert double(p) == oracles.cantor_add(p, p)
+        for d in classes:
+            assert add(p, d) == add(d, p) == oracles.cantor_add(p, d)
+    assert calls == []
 
 def test_add_outputs_reduced_and_valid():
     J = enumerate_theta(C1, 1)
