@@ -55,12 +55,12 @@ from .errors import (
 # The first 13 primes. As Miller-Rabin bases they decide primality for every
 # n < _PSI13 (Sorenson and Webster, "Strong pseudoprimes to twelve prime
 # bases", Math. Comp. 2017); _PSI13 itself is the first composite that
-# passes them all, so from there on is_prime runs Baillie-PSW instead.
+# passes them all, so from there on _is_prime runs Baillie-PSW instead.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI13 = 3317044064679887385961981
 
 
-def is_prime(n):
+def _is_prime(n):
     """Miller-Rabin on the bases _MR_BASES below _PSI13 (~3.3 * 10^24),
     where it is exact; Baillie-PSW at or above it (Baillie and Wagstaff,
     "Lucas pseudoprimes", Math. Comp. 1980), which no known composite
@@ -522,7 +522,7 @@ def ff_make(p, modulus_poly=None):
     Lucas test. No composite is known to pass it, but no proof rules one
     out.
     """
-    if not isinstance(p, int) or not is_prime(p):
+    if not isinstance(p, int) or not _is_prime(p):
         raise NotPrime("%r is not prime" % (p,))
     if p == 2:
         raise EvenCharacteristic("characteristic 2 is not supported")
@@ -557,7 +557,7 @@ def _is_irreducible(p, coeffs):
     if R._rpow(u, p ** k) != u:
         return False
     for r in range(2, k + 1):
-        if k % r == 0 and is_prime(r):
+        if k % r == 0 and _is_prime(r):
             w = R._rsub(R._rpow(u, p ** (k // r)), u)
             if R._rpow(w, p ** k - 1) != R._one_raw:
                 return False

@@ -15,15 +15,14 @@ U(a) != 0, a cancellation when V(a) = -b (b = 0 included), and a Hensel
 step when V(a) = b != 0. The first and the last give U (x - a), which
 one reduction step brings back to degree g when it exceeds it.
 
-At g = 2, add and double first try Lange's explicit formulas for h = 0
-(T. Lange, "Formulae for arithmetic on genus 2 hyperelliptic curves",
-AAECC 15, 2005), written once on the field's _r* methods: one inversion
-and a few dozen field operations, no polynomial xgcd. They decide every
-sum of two degree-2 classes with coprime U's, every sum of a degree-2
-and a degree-1 class with U1(-u20) != 0 (in either order), and every
-double of a degree-2 class with gcd(U, V) = 1. Sums and doubles share
-one tail (_lange); when its s is a constant (s1 = 0) the sum has degree
-1, and one reduction step reaches it.
+At g = 2, where both classes have degree 2, add and double first try
+Lange's explicit formulas for h = 0 (T. Lange, "Formulae for arithmetic
+on genus 2 hyperelliptic curves", AAECC 15, 2005), written once on the
+field's _r* methods: one inversion and a few dozen field operations, no
+polynomial xgcd. They decide every sum of two degree-2 classes with
+coprime U's and every double of a degree-2 class with gcd(U, V) = 1.
+Sums and doubles share one tail (_lange); when its s is a constant
+(s1 = 0) the sum has degree 1, and one reduction step reaches it.
 
 Every other case, where both classes have degree >= 2, takes Cantor's
 composition followed by classical reduction (Cantor 1987, Math. Comp.
@@ -286,31 +285,30 @@ def _exact_div(F, a, b):
 def add(d1, d2):
     """The sum of two classes.
 
-    At g = 2 a generic sum of two degree-2 classes, or of a degree-2 and a
-    degree-1 class, takes an explicit formula (_sum2). Any other sum with a
-    degree-1 operand takes one point-addition step (_add_point), a class
-    added to itself is doubled, and every sum left takes _cantor from
-    e1 U1 + e2 U2 = gcd(U1, U2)."""
+    A sum with a degree-1 operand takes one point-addition step
+    (_add_point), and a class added to itself is doubled. At g = 2 a sum
+    of two degree-2 classes then tries Lange's formula with s = (V2 - V1)
+    / U1 mod U2, which decides it when U1 and U2 are coprime. Every sum
+    left takes _cantor from e1 U1 + e2 U2 = gcd(U1, U2)."""
     if d1.curve != d2.curve:
         raise errors.CurveMismatch("divisors live on different curves")
     if d1.is_identity():
         return d2
     if d2.is_identity():
         return d1
-    curve = d1.curve
+    curve, F = d1.curve, d1.curve.field
     U1, V1, U2, V2 = d1.U.raws, d1.V.raws, d2.U.raws, d2.V.raws
-    if curve.g == 2:
-        d = (_sum2(curve, U1, V1, U2, V2) if len(U1) >= len(U2)
-             else _sum2(curve, U2, V2, U1, V1))
-        if d is not None:
-            return d
     if len(U2) == 2:
         return _add_point(curve, U1, V1, U2, V2)
     if len(U1) == 2:
         return _add_point(curve, U2, V2, U1, V1)
     if U1 == U2 and V1 == V2:
         return double(d1)
-    return _cantor(curve, U1, V1, U2, V2, *raw_xgcd(curve.field, U1, U2))
+    if curve.g == 2:
+        d = _lange(curve, U1, V1, U2, raw_sub(F, V2, V1), raw_sub(F, U1, U2))
+        if d is not None:
+            return d
+    return _cantor(curve, U1, V1, U2, V2, *raw_xgcd(F, U1, U2))
 
 
 def double(d):
@@ -327,7 +325,7 @@ def double(d):
         return d
     if len(U) == 2:
         return _add_point(curve, U, V, U, V)
-    if curve.g == 2 and len(U) == 3:
+    if curve.g == 2:
         f, A, S, M = curve.f.raws, F._radd, F._rsub, F._rmul
         u0, u1, _ = U
         v0, v1 = (V + (F._zero_raw,) * 2)[:2]
@@ -375,33 +373,9 @@ def _add_point(curve, U, V, L, W):
 
 # --- explicit genus-2 formulas (Lange, AAECC 15, 2005, for h = 0) ---
 #
-# A degree-2 U is the raw tuple (u0, u1, 1); a V or w is padded to (v0, v1).
-# Reduced pairs are unique, so a formula and Cantor give the same class.
-
-def _sum2(curve, U1, V1, U2, V2):
-    """The sum of nonzero classes with deg U1 >= deg U2, or None when it
-    is not generic. Two degree-2 U's go through _lange with s = (V2 - V1)
-    / U1 mod U2. A degree-1 U2 = x + u20 with U1(-u20) != 0 gives U1 U2 of
-    degree 3, so one reduction step ends with a monic U' of degree 2."""
-    if len(U1) == 2:
-        return None
-    F, f = curve.field, curve.f.raws
-    A, S, M, z = F._radd, F._rsub, F._rmul, F._zero_raw
-    u10, u11, _ = U1
-    v10, v11 = (V1 + (z, z))[:2]
-    if len(U2) == 3:
-        return _lange(curve, U1, (v10, v11), U2, raw_sub(F, V2, V1), raw_sub(F, U1, U2))
-    u20, v20 = U2[0], (V2 + (z,))[0]
-    e = A(M(S(u20, u11), u20), u10)                  # U1(-u20)
-    if e == z:
-        return None
-    s = M(A(S(v20, v10), M(v11, u20)), F._rinv(e))   # (V2 - V1)/U1 at -u20
-    k2 = S(f[4], u11)                                # (f - V1^2)/U1 as in double
-    a1 = S(S(k2, M(s, s)), u20)
-    a0 = S(S(S(f[3], u10), M(u11, k2)), A(M(s, A(M(s, u11), A(v11, v11))), M(u20, a1)))
-    return _reduce(curve, (a0, a1, F._one_raw),
-                   raw_sub(F, (M(s, S(a0, u10)), M(s, S(a1, u11))), (v10, v11)))
-
+# A degree-2 U is the raw tuple (u0, u1, 1); a V, w or y is padded to
+# (v0, v1). Reduced pairs are unique, so a formula and Cantor give the same
+# class.
 
 def _lange(curve, U1, V1, U2, w, y):
     """The tail shared by sums and doubles: with s = s1 x + s0 = w / y mod
@@ -416,8 +390,8 @@ def _lange(curve, U1, V1, U2, w, y):
     exactly when y is not prime to U2."""
     F, f = curve.field, curve.f.raws
     A, S, M, z = F._radd, F._rsub, F._rmul, F._zero_raw
-    (u10, u11, _), (v10, v11), (u20, u21, _) = U1, V1, U2
-    (w0, w1), (y0, y1) = (w + (z, z))[:2], (y + (z, z))[:2]
+    (u10, u11, _), (u20, u21, _) = U1, U2
+    (v10, v11), (w0, w1), (y0, y1) = ((t + (z, z))[:2] for t in (V1, w, y))
     # (y1 x + y0)(-y1 x + c) = r mod U2, so s = (t1 x + t0) / r
     c = S(y0, M(u21, y1))
     r = A(M(y0, c), M(u20, M(y1, y1)))

@@ -18,6 +18,7 @@ from halfjac.field import (
     FieldElement,
     FiniteField,
     _PSI13,
+    _is_prime,
     _is_strong_lucas_probable_prime,
     _is_strong_probable_prime,
     _nonsquare_raw,
@@ -26,7 +27,6 @@ from halfjac.field import (
     element_to_json,
     ff_make,
     field_spec,
-    is_prime,
     is_square,
     parse_element,
     parse_field_spec,
@@ -93,7 +93,7 @@ def test_non_monic_modulus_rejected():
 
 def test_is_prime_agrees_with_trial_division_below_1e5():
     for n in range(10 ** 5):
-        assert is_prime(n) == is_prime_trial(n), n
+        assert _is_prime(n) == is_prime_trial(n), n
 
 def test_is_prime_rejects_strong_pseudoprimes():
     # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime base up
@@ -101,7 +101,7 @@ def test_is_prime_rejects_strong_pseudoprimes():
     for n, factors in ((3215031751, (151, 751, 28351)),
                        (3825123056546413051, (149491, 747451, 34233211))):
         assert n == factors[0] * factors[1] * factors[2]
-        assert not is_prime(n)
+        assert not _is_prime(n)
         assert _is_strong_probable_prime(n, 2)
         assert not _is_strong_lucas_probable_prime(n)
 
@@ -119,7 +119,7 @@ def test_strong_lucas_pseudoprimes_fail_base_2():
 
 def test_is_prime_accepts_large_primes():
     for n in (2 ** 89 - 1, 2 ** 127 - 1, 2 ** 255 - 19, 2 ** 521 - 1):
-        assert n >= _PSI13 and is_prime(n)
+        assert n >= _PSI13 and _is_prime(n)
 
 def test_baillie_psw_agrees_with_trial_division_below_2e5():
     for n in range(3, 2 * 10 ** 5, 2):

@@ -348,14 +348,14 @@ GENUS2_CASES = {
                    and _coprime(a.U, b.U) and a.V == b.V),
     "sum, shared factor": (2, C2, add, lambda a, b: _degrees(a, b) == (2, 2)
                            and not _coprime(a.U, b.U) and a != b),
-    # add(a, a) is double(a), here Lange's: _lange gives up on the sum at once
+    # add(a, a) is double(a), here Lange's, before any attempt at a sum
     "sum, same class": (0, C2, add, lambda a, b: a == b and _degrees(a) == (2,)
                         and _coprime(a.U, a.V)),
+    # every sum with a degree-1 operand takes the point-addition step
     "mixed": (0, C2, add, lambda a, b: _degrees(a, b) == (2, 1)
               and _coprime(a.U, b.U)),
     "mixed, reversed": (0, C2, add, lambda a, b: _degrees(a, b) == (1, 2)
                         and _coprime(a.U, b.U)),
-    # every other sum with a degree-1 operand takes the point-addition step
     "mixed, shared factor": (0, C2, add, lambda a, b: _degrees(a, b) == (2, 1)
                              and not _coprime(a.U, b.U)),
     "cancellation, 2P + (-P)": (0, C2, add, lambda a, b: _degrees(a, b) == (2, 1)
