@@ -11,8 +11,9 @@ Elements are immutable wrappers around a canonical raw value: an int in
 structurally, so independently built copies of the same field interoperate.
 Besides this module, poly reads and builds raws: polynomials hold raw
 coefficient tuples and run their arithmetic through the _r* methods below.
-The group law in jacobian (its genus-2 formulas and _reduce) and
-halving._mumford_from_signs do too, on top of poly's raw_* functions.
+The group law in jacobian (its genus-2 formulas and _reduce) and the
+halving kernel (halving._closed_form and its certificate) do too, on top
+of poly's raw_* functions.
 
 Building a FiniteField picks its raw arithmetic from its shape, once:
 

@@ -7,9 +7,14 @@ the elementary symmetric functions s_k of the r_i:
     U_r(x) = (-1)^g [ (a-x)^g + sum_{j=1..g} s_{2j} (a-x)^(g-j) ]
     V_r(x) = sum_{j=1..g} (s_{2j+1} - s_1 s_{2j}) (a-x)^(g-j)
 
-There are exactly 2^(2g) such vectors, one per half. Every output is
-proven before it is returned by one certificate: v = V_r + (-1)^g s_1 U_r
-satisfies f - v^2 = (x - a) U_r^2 and v(a) = -b. Then
+There are exactly 2^(2g) such vectors, one per half. They share a, f and
+the powers (a - x)^k, k <= g, so halve_point builds that table once per
+point (_closed_form), and each half is then two linear combinations of
+its rows with the s_k as coefficients, on raw coefficient tuples.
+
+Every output is proven before it is returned by one certificate, which
+also runs on raws: v = V_r + (-1)^g s_1 U_r satisfies
+f - v^2 = (x - a) U_r^2 and v(a) = -b. Then
 div(y - v) = 2D + (a, -b) - (2g+1) inf, so 2D = (P) - (inf), and since f
 is squarefree U_r is coprime to f and divides V_r^2 - f. A failure there
 is an internal error, never a silent wrong answer. The Cantor group law
@@ -33,8 +38,9 @@ the product -b.
 import math
 
 from . import errors
-from .field import FieldElement, is_square, quadratic_extension, sqrt
-from .poly import Polynomial, from_raws, raw_compose, raw_symmetric_functions
+from .field import is_square, quadratic_extension, sqrt
+from .poly import (from_raws, raw_add, raw_eval, raw_mul, raw_scale, raw_sub,
+                   raw_symmetric_functions)
 from .jacobian import CurvePoint, MumfordDivisor, curve_make
 
 
@@ -147,55 +153,97 @@ def lift_to_sqrt_field(curve, P):
     return curve2, CurvePoint(curve2, emb(P.x), emb(P.y))
 
 
-def _mumford_from_signs(curve, a, r):
-    """(U_r, V_r, s_1) from the closed formulas, no validation."""
+def _closed_form(curve, a):
+    """The closed form at the abscissa a: a function from the raws of a
+    sign vector r to the raws of (U_r, V_r, (-1)^g s_1).
+
+    The powers (a - x)^k, k <= g, depend on a alone, so they are built
+    once here and shared by all 2^(2g) halves of the point; U_r and V_r
+    are then linear combinations of them with the s_k as coefficients."""
     F = curve.field
     g = curve.g
-    s = raw_symmetric_functions(F, [x.raw for x in r])      # s[k-1] holds s_k
-    amx = (a.raw, F._rneg(F._one_raw))                      # a - x
-    # both as polynomials in t = a - x (coefficients of t^0..t^g), then
-    # composed with a - x by Horner
-    pu = [s[2 * j - 1] for j in range(g, 0, -1)] + [F._one_raw]
-    pv = [F._rsub(s[2 * j], F._rmul(s[0], s[2 * j - 1])) for j in range(g, 0, -1)]
-    U = from_raws(F, raw_compose(F, pu, amx))
-    return ((-U if g % 2 else U), from_raws(F, raw_compose(F, pv, amx)),
-            FieldElement(F, s[0]))
+    radd, rsub, rmul, rneg = F._radd, F._rsub, F._rmul, F._rneg
+    zero = F._zero_raw
+    amx = (a.raw, rneg(F._one_raw))                        # a - x
+    powers = [(F._one_raw,)]
+    for _ in range(g):
+        powers.append(raw_mul(F, powers[-1], amx))
+    odd = g % 2
+    top = tuple(map(rneg, powers[g])) if odd else powers[g]    # (x - a)^g
+    # Equal coefficients of different halves share one raw object. Over a
+    # small F_{q^2} most of them repeat: two thirds of the coefficients of
+    # the lifted halves of the F_7..F_13 family.
+    share = {}.setdefault
+
+    def half(r):
+        s = raw_symmetric_functions(F, r)                  # s[k-1] holds s_k
+        s1 = s[0]
+        U, V = list(top), [zero] * g
+        for k, row in enumerate(powers[:g]):               # k = g - j
+            s2j = s[2 * (g - k) - 1]
+            cu = rneg(s2j) if odd else s2j
+            cv = rsub(s[2 * (g - k)], rmul(s1, s2j))
+            for i, t in enumerate(row):
+                U[i] = radd(U[i], rmul(cu, t))
+                V[i] = radd(V[i], rmul(cv, t))
+        while V and V[-1] == zero:
+            V.pop()
+        return (tuple([share(c, c) for c in U]), tuple([share(c, c) for c in V]),
+                rneg(s1) if odd else s1)
+
+    return half
 
 
-def _certify(curve, a, b, U, V, s1, error):
-    """Raise error, naming the failed clause, unless (U, V) is a half of
-    (a, b): U monic of degree g, deg V < g, and v = V + (-1)^g s_1 U with
-    f - v^2 = (x - a) U^2 and v(a) = -b (see the module docstring)."""
-    if not U.is_monic() or U.degree != curve.g:
+def _certify(curve, a, b, U, V, c, error):
+    """Raise error, naming the failed clause, unless the raw pair (U, V)
+    is a half of (a, b): U monic of degree g, deg V < g, and v = V + c U
+    with f - v^2 = (x - a) U^2 and v(a) = -b (see the module docstring).
+    a, b and c = (-1)^g s_1 are raws."""
+    F = curve.field
+    if len(U) != curve.g + 1 or U[-1] != F._one_raw:
         raise error("U is not monic of degree g")
-    if not V.degree < curve.g:
+    if len(V) > curve.g:
         raise error("deg V is not below g")
-    v = V + U * (-s1 if curve.g % 2 else s1)
-    if curve.f - v * v != Polynomial(curve.field, [-a, 1]) * U * U:
+    v = V if c == F._zero_raw else raw_add(F, V, raw_scale(F, U, c))
+    xma = (F._rneg(a), F._one_raw)
+    if raw_sub(F, curve.f.raws, raw_mul(F, v, v)) != raw_mul(F, xma, raw_mul(F, U, U)):
         raise error("f - v^2 != (x - a) U^2")
-    if v.eval(a) != -b:
+    if raw_eval(F, v, a) != F._rneg(b):
         raise error("v(a) != -b")
+
+
+def _proven_half(curve, sv, closed):
+    """The raw pair (U_r, V_r) of sv from closed, through the certificate."""
+    U, V, c = closed([x.raw for x in sv.r])
+    _certify(curve, sv.point.x.raw, sv.point.y.raw, U, V, c, errors.SelfCheckFailed)
+    return U, V
+
+
+def _half_lift(curve, sv, U, V):
+    """The HalfLift of sv and its proven raw pair (U, V)."""
+    F = curve.field
+    return HalfLift(sv, MumfordDivisor(curve, from_raws(F, U), from_raws(F, V),
+                                       validate=False))
 
 
 def half_from_signs(sv):
     """The half determined by one sign vector, proven by the certificate
     before it is returned."""
     curve = sv.curve
-    a = sv.point.x
-    U, V, s1 = _mumford_from_signs(curve, a, sv.r)
-    _certify(curve, a, sv.point.y, U, V, s1, errors.SelfCheckFailed)
-    return HalfLift(sv, MumfordDivisor(curve, U, V, validate=False))
+    U, V = _proven_half(curve, sv, _closed_form(curve, sv.point.x))
+    return _half_lift(curve, sv, U, V)
 
 
 def halve_point(curve, P):
     """All 2^(2g) halves of the class of (P) - (inf), in deterministic
-    sign-pattern order. The caller lifts first when square roots are
-    missing (see lift_to_sqrt_field)."""
-    halves = [half_from_signs(sv) for sv in sqrt_choices(curve, P)]
-    distinct = {(h.mumford.U, h.mumford.V) for h in halves}
-    if len(distinct) != 1 << (2 * curve.g):
+    sign-pattern order, from one table of powers of (a - x). The caller
+    lifts first when square roots are missing (see lift_to_sqrt_field)."""
+    svs = sqrt_choices(curve, P)
+    closed = _closed_form(curve, P.x)
+    pairs = [_proven_half(curve, sv, closed) for sv in svs]
+    if len(set(pairs)) != 1 << (2 * curve.g):
         raise errors.SelfCheckFailed("halves are not pairwise distinct")
-    return halves
+    return [_half_lift(curve, sv, U, V) for sv, (U, V) in zip(svs, pairs)]
 
 
 def recover_signs(curve, U, V):
@@ -236,6 +284,6 @@ def recover_signs(curve, U, V):
     r = [s1 + sign * wi for wi in w]
     a = r[0] * r[0] + alpha1
     b = -math.prod(r, start=field.one())
-    _certify(curve, a, b, U, V, s1, errors.NotAHalf)
+    _certify(curve, a.raw, b.raw, U.raws, V.raws, (sign * s1).raw, errors.NotAHalf)
     point = CurvePoint(curve, a, b)
     return _sign_vector(curve, point, r), point

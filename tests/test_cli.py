@@ -55,11 +55,15 @@ PINNED_STDOUT_SHA256 = [
      "d09257662a30d4155b53475d1da51c3b4f5b28f2d4eb0d2680ecf6763ede2c23"),
     (["halve", "--field", "7", "--alphas", "0,1,6", "--point", "4,2"],
      "dc5475eefe97222638d3e7b30e668e367b8c4565b5ee9c6a3be6b74b09e02e29"),
+    # g = 3: 64 halves over F_169, each of order 164
+    (["halve", "--field", "13", "--alphas", "0,1,2,3,4,5,6", "--point", "7,3"],
+     "7aba310eb9708b78c5bdba7ddaaa1385dc8a59255dbcb85d8d288c0e170bf7f8"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", PINNED_STDOUT_SHA256,
-                         ids=["theorems", "halve-p101", "halve-p7-lifted"])
+                         ids=["theorems", "halve-p101", "halve-p7-lifted",
+                              "halve-p13-g3-lifted"])
 def test_stdout_is_byte_identical(capsys, argv, digest):
     code, out, err = run(capsys, argv)
     assert code == 0, err

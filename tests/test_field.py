@@ -318,6 +318,22 @@ def test_nonsquare_is_decided_by_tonelli_shanks_alone(monkeypatch):
         assert powers == [(s - 1) // 2], F
         assert F._nonsquare is None
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from([2 ** 61 - 1, 2 ** 64 - 2 ** 32 + 1]),
+       st.integers(0, 2 ** 64), st.booleans())
+def test_sqrt_at_large_q(p, n, square):
+    """The canonical root (the smaller int) comes first, and None comes
+    exactly on Euler non-squares; 2^64 - 2^32 + 1 has 2-adicity 32, the
+    longest Tonelli-Shanks loop of the two."""
+    n = n * n % p if square else n % p
+    got = sqrt(ff_make(p)(n))
+    if pow(n, (p - 1) // 2, p) == p - 1:
+        assert got is None
+        return
+    x, y = got
+    assert int(x) * int(x) % p == n and int(y) == -int(x) % p
+    assert int(x) <= int(y)
+
 def test_sqrt_on_tower():
     F81, emb = quadratic_extension(F9)
     for a in F9.elements():

@@ -7,12 +7,14 @@ y^2 = x^3 + 6x over F_7. Exact equality throughout.
 """
 
 import itertools
+import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from halfjac import errors
 from halfjac.field import ff_make, quadratic_extension, sqrt
-from halfjac.poly import Polynomial, from_roots, symmetric_functions
+from halfjac.poly import Polynomial, from_raws, from_roots, symmetric_functions
 from halfjac.jacobian import (
     CurvePoint,
     MumfordDivisor,
@@ -46,6 +48,7 @@ C1 = curve_make(F7, [0, 1, 6])          # y^2 = x^3 + 6x
 C3 = curve_make(F7, [3, 5, 6])          # y^2 = x^3 + 1
 C2 = curve_make(F7, [0, 1, 2, 3, 4])    # g = 2
 C13 = curve_make(F13, [1, 3, 4, 9, 10]) # g = 2, (0, 5) halves without lifting
+G3 = curve_make(F13, [0, 1, 2, 3, 4, 5, 6])
 
 P01 = CurvePoint(C3, 0, 1)              # b != 0, every a - alpha_i a square
 P10 = CurvePoint(C1, 1, 0)              # Weierstrass, b = 0, no lift needed
@@ -90,7 +93,6 @@ def test_sign_vector_invariants():
             for i, j in itertools.combinations(range(len(sv.r)), 2):
                 assert sv.r[i] != sv.r[j] and sv.r[i] != -sv.r[j]
     # the 2^(2g) order equals a filter over all 2^(2g+1) sign patterns
-    G3 = curve_make(F13, [0, 1, 2, 3, 4, 5, 6])
     for curve, pt in ((C13, P05), (C13, CurvePoint(C13, 1, 0)),
                       (G3, CurvePoint(G3, 7, 3)), (G3, CurvePoint(G3, 0, 0))):
         curve2, pt2 = lift_to_sqrt_field(curve, pt)
@@ -162,21 +164,43 @@ def test_g1_closed_form():
             assert h.mumford.V == Polynomial.constant(s3 - s1 * s2)
 
 def test_half_certificate_rejects_wrong_pairs(monkeypatch):
+    """A forged closed form fails the certificate, one case per clause."""
     import halfjac.halving as halving
-    real = halving._mumford_from_signs
+    real = halving._closed_form
     sv = sqrt_choices(C13, P05)[0]
-    U, V, s1 = real(C13, P05.x, sv.r)
+    U, V, c = real(C13, P05.x)([x.raw for x in sv.r])
+    U, V = from_raws(F13, U), from_raws(F13, V)
+    other = sqrt_choices(C13, P05.involution())[0]
+    forged_halves = [
+        ((U * 2).raws, V.raws, c, "U is not monic of degree g"),
+        (U.raws, (V + Polynomial.x(F13) ** 2).raws, c, "deg V is not below g"),
+        (U.raws, (V + 1).raws, c, r"f - v\^2 != \(x - a\) U\^2"),
+        # a genuine half of (a, -b) passes the first three clauses
+        real(C13, P05.x)([x.raw for x in other.r]) + (r"v\(a\) != -b",),
+    ]
+    for *forged, clause in forged_halves:
+        monkeypatch.setattr(halving, "_closed_form",
+                            lambda curve, a: lambda r: tuple(forged))
+        with pytest.raises(errors.SelfCheckFailed, match=clause):
+            half_from_signs(sv)
 
-    monkeypatch.setattr(halving, "_mumford_from_signs",
-                        lambda curve, a, r: (U, V + 1, s1))
-    with pytest.raises(errors.SelfCheckFailed, match=r"f - v\^2"):
-        half_from_signs(sv)
-
-    # a genuine half of (a, -b) passes the first clause, not v(a) = -b
-    forged = real(C13, P05.x, sqrt_choices(C13, P05.involution())[0].r)
-    monkeypatch.setattr(halving, "_mumford_from_signs", lambda curve, a, r: forged)
-    with pytest.raises(errors.SelfCheckFailed, match=r"v\(a\) != -b"):
-        half_from_signs(sv)
+def test_half_from_signs_matches_halve_point():
+    """One sign vector's own table of powers gives the half that the table
+    halve_point shares among all of a point's halves gives it; the g = 3
+    point lifts to F_169 and has 64 halves."""
+    G3_lifted = lift_to_sqrt_field(G3, CurvePoint(G3, 7, 3))
+    assert G3_lifted[0].field.q == 169
+    for curve, pt in ((C3, P01), (C1, P10), (C13, P05), G3_lifted):
+        svs = sqrt_choices(curve, pt)
+        halves = halve_point(curve, pt)
+        assert len(halves) == len(svs) == 4 ** curve.g
+        for sv, h in zip(svs, halves):
+            assert sv.r == h.sign_vector.r
+            assert half_from_signs(sv).mumford == h.mumford
+    # equal coefficients of one point's halves are one object
+    coeffs = [c for h in halve_point(*G3_lifted) for p in (h.mumford.U, h.mumford.V)
+              for c in p.raws]
+    assert len({id(c) for c in coeffs}) == len(set(coeffs)) < len(coeffs)
 
 def test_doubling_oracle_master_property():
     for curve, pt in ((C3, P01), (C1, P10), (C13, P05)):
@@ -433,6 +457,37 @@ def test_recover_decides_every_pair_exhaustively(curve):
             assert (rebuilt.U, rebuilt.V) == (U, V)
             recovered += 1
     assert recovered == len(halves)
+
+
+# --- large q: curves built around their sign vector ---
+
+# below both primes, so distinct draws stay distinct mod p
+BELOW_BOTH = st.integers(0, 2 ** 61 - 2)
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.sampled_from([2 ** 61 - 1, 2 ** 64 - 2 ** 32 + 1]), st.integers(1, 3),
+       BELOW_BOTH, st.lists(BELOW_BOTH, min_size=7, max_size=7, unique=True))
+def test_halves_at_large_q(p, g, a, rs):
+    """alpha_i = a - r_i^2 and b = prod r_i put (a, b) on the curve with
+    every a - alpha_i a square, so no lift is needed. Every half doubles
+    to (a, b) under the Cantor oracle, which does not use the certificate,
+    and recover_signs gives back its sign vector and the point; -r is one
+    of those sign vectors."""
+    F = ff_make(p)
+    r = [F(x) for x in rs[:2 * g + 1]]
+    assume(len({x * x for x in r}) == len(r))        # distinct alphas
+    curve = curve_make(F, [F(a) - x * x for x in r])
+    pt = CurvePoint(curve, a, math.prod(r, start=F.one()))
+    assert lift_to_sqrt_field(curve, pt)[0] is curve
+    target = embed_point(pt)
+    halves = halve_point(curve, pt)
+    assert len(halves) == 4 ** g
+    assert tuple(-x for x in r) in {h.sign_vector.r for h in halves}
+    for h in halves:
+        assert oracles.cantor_add(h.mumford, h.mumford) == target
+        sv, back = recover_signs(curve, h.mumford.U, h.mumford.V)
+        assert back == pt
+        assert sv.r == h.sign_vector.r
 
 
 # --- characteristic divides the genus ---
