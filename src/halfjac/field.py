@@ -28,6 +28,20 @@ Building a FiniteField picks its raw arithmetic from its shape, once:
   recursive tuple arithmetic of FiniteField; there inverses of degree >= 3
   are the Fermat power x^(q-2).
 
+Two kernels work on whole raw polynomials (little-endian tuples of raws),
+for poly.raw_mul and poly.raw_symmetric_functions:
+
+- _rpolymul(a, b), the product of two nonzero polynomials. _PrimeField
+  adds up the unreduced int products of each output coefficient and
+  reduces it once; _PairField does the same for the 1 and t parts, with
+  each product's t^2 part folded through the modulus as it is added.
+- _rsymmetric(roots), the elementary symmetric functions s_1..s_n, by
+  the recurrence e_j += r e_(j-1) over the roots. _PrimeField and
+  _PairField run each step as one int expression per coefficient, with
+  one reduction (and, for pairs, t^2 folded) per coefficient and step.
+- FiniteField keeps the generic loops over _radd and _rmul for every
+  other shape.
+
 The _r* methods return canonical raws, so the operators wrap their results
 with the unchecked internal constructor _element. FieldElement(field, raw)
 is the public constructor for raws from outside: it reduces ints mod p and
@@ -231,6 +245,26 @@ class FiniteField:
                 prod[i - k + j] = base._rsub(prod[i - k + j], base._rmul(c, mod[j]))
         return tuple(prod[:k])
 
+    def _rpolymul(self, a, b):
+        """The product of the nonzero raw polynomials a and b (poly.raw_mul)."""
+        radd, rmul, zero = self._radd, self._rmul, self._zero_raw
+        out = [zero] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if ca == zero:
+                continue
+            for j, cb in enumerate(b, i):
+                out[j] = radd(out[j], rmul(ca, cb))
+        return tuple(out)
+
+    def _rsymmetric(self, roots):
+        """[s_1, ..., s_n] of the raws roots (poly.raw_symmetric_functions)."""
+        radd, rmul = self._radd, self._rmul
+        e = [self._one_raw] + [self._zero_raw] * len(roots)
+        for m, r in enumerate(roots, start=1):
+            for j in range(m, 0, -1):
+                e[j] = radd(e[j], rmul(r, e[j - 1]))
+        return e[1:]
+
     def _rpow(self, a, n):
         result = self._one_raw
         while n > 0:
@@ -334,6 +368,23 @@ class _PrimeField(FiniteField):
     def _rmul(self, a, b):
         return a * b % self.p
 
+    def _rpolymul(self, a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b, i):
+                    out[j] += ca * cb
+        p = self.p
+        return tuple([c % p for c in out])
+
+    def _rsymmetric(self, roots):
+        p = self.p
+        e = [1] + [0] * len(roots)
+        for m, r in enumerate(roots, start=1):
+            for j in range(m, 0, -1):
+                e[j] = (e[j] + r * e[j - 1]) % p
+        return e[1:]
+
     def _rinv(self, a):
         if a == 0:
             raise DivisionByZero("inverse of zero in %r" % self)
@@ -374,6 +425,30 @@ class _PairField(FiniteField):
         b0, b1 = b
         hi = a1 * b1
         return ((a0 * b0 - m0 * hi) % p, (a0 * b1 + a1 * b0 - m1 * hi) % p)
+
+    def _rpolymul(self, a, b):
+        p = self.p
+        m0, m1 = self.modulus
+        n = len(a) + len(b) - 1
+        c0, c1 = [0] * n, [0] * n
+        for i, (a0, a1) in enumerate(a):
+            for j, (b0, b1) in enumerate(b, i):
+                hi = a1 * b1
+                c0[j] += a0 * b0 - m0 * hi
+                c1[j] += a0 * b1 + a1 * b0 - m1 * hi
+        return tuple([(x % p, y % p) for x, y in zip(c0, c1)])
+
+    def _rsymmetric(self, roots):
+        p = self.p
+        m0, m1 = self.modulus
+        e = [(1, 0)] + [(0, 0)] * len(roots)
+        for m, (r0, r1) in enumerate(roots, start=1):
+            for j in range(m, 0, -1):
+                x, y = e[j]
+                u, v = e[j - 1]
+                hi = r1 * v
+                e[j] = ((x + r0 * u - m0 * hi) % p, (y + r0 * v + r1 * u - m1 * hi) % p)
+        return e[1:]
 
 
 _new_object = object.__new__

@@ -14,7 +14,14 @@ its rows with the s_k as coefficients, on raw coefficient tuples.
 
 Every output is proven before it is returned by one certificate, which
 also runs on raws: v = V_r + (-1)^g s_1 U_r satisfies
-f - v^2 = (x - a) U_r^2 and v(a) = -b. Then
+f - v^2 = (x - a) U_r^2 and v(a) = -b. It takes two products per half.
+With f = (x - a) f_1 + f(a), split once per point, and
+v = (x - a) w + beta, one synthetic division per half,
+
+    f - v^2 = (x - a) (f_1 - U_r^2 - w (v + beta)) + f(a) - beta^2,
+
+so the identity holds exactly when f(a) = beta^2 and
+f_1 = U_r^2 + w (v + beta), and v(a) = -b is beta = -b. Then
 div(y - v) = 2D + (a, -b) - (2g+1) inf, so 2D = (P) - (inf), and since f
 is squarefree U_r is coprime to f and divides V_r^2 - f. A failure there
 is an internal error, never a silent wrong answer. The Cantor group law
@@ -25,7 +32,8 @@ ratios V(alpha_i)/U(alpha_i), and the same certificate decides whether
 
 When some a - alpha_i is a non-square the halves are not rational;
 lift_to_sqrt_field moves the data to the quadratic extension, where
-every base-field element is a square.
+every base-field element is a square. Each curve builds its lifted
+curve once and keeps it.
 
 Sign vectors are enumerated deterministically: each coordinate's
 canonical root is the square root with the smaller canonical index, and
@@ -39,7 +47,7 @@ import math
 
 from . import errors
 from .field import is_square, quadratic_extension, sqrt
-from .poly import (from_raws, raw_add, raw_eval, raw_mul, raw_scale, raw_sub,
+from .poly import (from_raws, raw_add, raw_divrem, raw_mul, raw_scale,
                    raw_symmetric_functions)
 from .jacobian import CurvePoint, MumfordDivisor, curve_make
 
@@ -143,13 +151,16 @@ def _sign_vector(curve, point, r):
 def lift_to_sqrt_field(curve, P):
     """(curve, P) unchanged when every a - alpha_i is a square; otherwise
     the same data embedded into the quadratic extension, where halving
-    always succeeds."""
+    always succeeds. The lifted curve is built once per curve object and
+    kept, so every lifted point of a curve lies on the same object."""
     _require_affine(curve, P)
     a = P.x
     if all(is_square(a - alpha) for alpha in curve.alphas):
         return curve, P
     field2, emb = quadratic_extension(curve.field)
-    curve2 = curve_make(field2, [emb(alpha) for alpha in curve.alphas])
+    if curve._lift is None:
+        curve._lift = curve_make(field2, [emb(alpha) for alpha in curve.alphas])
+    curve2 = curve._lift
     return curve2, CurvePoint(curve2, emb(P.x), emb(P.y))
 
 
@@ -194,28 +205,40 @@ def _closed_form(curve, a):
     return half
 
 
-def _certify(curve, a, b, U, V, c, error):
+def _divide_at(F, u, a):
+    """(w, u(a)) with u = (x - a) w + u(a), by one synthetic division of
+    the raw polynomial u at the raw a."""
+    w, rem = raw_divrem(F, u, (F._rneg(a), F._one_raw))
+    return w, rem[0] if rem else F._zero_raw
+
+
+def _certify(curve, a, b, f_at_a, U, V, c, error):
     """Raise error, naming the failed clause, unless the raw pair (U, V)
     is a half of (a, b): U monic of degree g, deg V < g, and v = V + c U
-    with f - v^2 = (x - a) U^2 and v(a) = -b (see the module docstring).
-    a, b and c = (-1)^g s_1 are raws."""
+    with f - v^2 = (x - a) U^2 and v(a) = -b, decided as f(a) = beta^2,
+    f_1 = U^2 + w (v + beta) and beta = -b (see the module docstring).
+    a, b and c = (-1)^g s_1 are raws, and f_at_a = (f_1, f(a)) is
+    _divide_at(f, a)."""
     F = curve.field
     if len(U) != curve.g + 1 or U[-1] != F._one_raw:
         raise error("U is not monic of degree g")
     if len(V) > curve.g:
         raise error("deg V is not below g")
     v = V if c == F._zero_raw else raw_add(F, V, raw_scale(F, U, c))
-    xma = (F._rneg(a), F._one_raw)
-    if raw_sub(F, curve.f.raws, raw_mul(F, v, v)) != raw_mul(F, xma, raw_mul(F, U, U)):
+    f1, fa = f_at_a
+    w, beta = _divide_at(F, v, a)
+    if (F._rmul(beta, beta) != fa
+            or raw_add(F, raw_mul(F, U, U), raw_mul(F, w, raw_add(F, v, (beta,)))) != f1):
         raise error("f - v^2 != (x - a) U^2")
-    if raw_eval(F, v, a) != F._rneg(b):
+    if beta != F._rneg(b):
         raise error("v(a) != -b")
 
 
-def _proven_half(curve, sv, closed):
+def _proven_half(curve, sv, closed, f_at_a):
     """The raw pair (U_r, V_r) of sv from closed, through the certificate."""
     U, V, c = closed([x.raw for x in sv.r])
-    _certify(curve, sv.point.x.raw, sv.point.y.raw, U, V, c, errors.SelfCheckFailed)
+    _certify(curve, sv.point.x.raw, sv.point.y.raw, f_at_a, U, V, c,
+             errors.SelfCheckFailed)
     return U, V
 
 
@@ -230,17 +253,21 @@ def half_from_signs(sv):
     """The half determined by one sign vector, proven by the certificate
     before it is returned."""
     curve = sv.curve
-    U, V = _proven_half(curve, sv, _closed_form(curve, sv.point.x))
+    a = sv.point.x
+    U, V = _proven_half(curve, sv, _closed_form(curve, a),
+                        _divide_at(curve.field, curve.f.raws, a.raw))
     return _half_lift(curve, sv, U, V)
 
 
 def halve_point(curve, P):
     """All 2^(2g) halves of the class of (P) - (inf), in deterministic
-    sign-pattern order, from one table of powers of (a - x). The caller
-    lifts first when square roots are missing (see lift_to_sqrt_field)."""
+    sign-pattern order, from one table of powers of (a - x) and one split
+    of f at a. The caller lifts first when square roots are missing (see
+    lift_to_sqrt_field)."""
     svs = sqrt_choices(curve, P)
     closed = _closed_form(curve, P.x)
-    pairs = [_proven_half(curve, sv, closed) for sv in svs]
+    f_at_a = _divide_at(curve.field, curve.f.raws, P.x.raw)
+    pairs = [_proven_half(curve, sv, closed, f_at_a) for sv in svs]
     if len(set(pairs)) != 1 << (2 * curve.g):
         raise errors.SelfCheckFailed("halves are not pairwise distinct")
     return [_half_lift(curve, sv, U, V) for sv, (U, V) in zip(svs, pairs)]
@@ -284,6 +311,7 @@ def recover_signs(curve, U, V):
     r = [s1 + sign * wi for wi in w]
     a = r[0] * r[0] + alpha1
     b = -math.prod(r, start=field.one())
-    _certify(curve, a.raw, b.raw, U.raws, V.raws, (sign * s1).raw, errors.NotAHalf)
+    _certify(curve, a.raw, b.raw, _divide_at(field, curve.f.raws, a.raw),
+             U.raws, V.raws, (sign * s1).raw, errors.NotAHalf)
     point = CurvePoint(curve, a, b)
     return _sign_vector(curve, point, r), point

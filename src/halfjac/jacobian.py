@@ -75,7 +75,9 @@ from .poly import (
 class HyperellipticCurve:
     """y^2 = f(x) with f monic of odd degree, given by its roots."""
 
-    __slots__ = ("field", "alphas", "g", "f", "_hash")
+    # _lift: the curve over the quadratic extension, built by
+    # halving.lift_to_sqrt_field on first use and kept, as F._ext is
+    __slots__ = ("field", "alphas", "g", "f", "_hash", "_lift")
 
     def __init__(self, field, alphas):
         alphas = tuple(field(a) for a in alphas)
@@ -92,6 +94,7 @@ class HyperellipticCurve:
         # f = prod(x - alpha_i) over distinct alphas, so f is squarefree
         self.f = from_roots(field, alphas)
         self._hash = None
+        self._lift = None
 
     def __eq__(self, other):
         if self is other:

@@ -92,14 +92,7 @@ def raw_scale(F, a, c):
 def raw_mul(F, a, b):
     if not a or not b:
         return ()
-    radd, rmul, zero = F._radd, F._rmul, F._zero_raw
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == zero:
-            continue
-        for j, cb in enumerate(b, i):
-            out[j] = radd(out[j], rmul(ca, cb))
-    return tuple(out)
+    return F._rpolymul(a, b)
 
 
 def raw_divrem(F, a, b):
@@ -420,12 +413,7 @@ def symmetric_functions(roots, field=None):
 
 def raw_symmetric_functions(F, roots):
     """symmetric_functions on canonical raws of F, returned as raws."""
-    radd, rmul = F._radd, F._rmul
-    e = [F._one_raw] + [F._zero_raw] * len(roots)
-    for m, r in enumerate(roots, start=1):
-        for j in range(m, 0, -1):
-            e[j] = radd(e[j], rmul(r, e[j - 1]))
-    return e[1:]
+    return F._rsymmetric(roots)
 
 
 def poly_to_json(a):

@@ -184,6 +184,28 @@ def cantor_add(d1, d2):
     return MumfordDivisor(curve, U, V, validate=False)
 
 
+def certificate_clause(curve, a, b, U, V, c):
+    """The first clause of the halving certificate that (U, V) fails as a
+    half of the point (a, b), or None when it is a half; c = (-1)^g s_1.
+
+    The reference form of halving._certify: three products on Polynomial
+    operators, f - v^2 = (x - a) U^2 with v = V + c U, where the library
+    splits f and v at a and checks two products. The clause texts are the
+    library's."""
+    from halfjac.poly import Polynomial
+    F = curve.field
+    if U.degree != curve.g or not U.is_monic():
+        return "U is not monic of degree g"
+    if not V.degree < curve.g:
+        return "deg V is not below g"
+    v = V + U * c
+    if curve.f - v * v != Polynomial(F, [-a, F.one()]) * U * U:
+        return "f - v^2 != (x - a) U^2"
+    if v.eval(a) != -b:
+        return "v(a) != -b"
+    return None
+
+
 def order_by_addition(d, cap=None):
     """Smallest n >= 1 with n*d = identity, by adding d one step at a time.
 

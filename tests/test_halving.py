@@ -6,8 +6,10 @@ Mumford pairs below were computed by hand for y^2 = x^3 + 1 and
 y^2 = x^3 + 6x over F_7. Exact equality throughout.
 """
 
+import collections
 import itertools
 import math
+import types
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -184,6 +186,80 @@ def test_half_certificate_rejects_wrong_pairs(monkeypatch):
         with pytest.raises(errors.SelfCheckFailed, match=clause):
             half_from_signs(sv)
 
+def _certificate_verdict(curve, a, b, U, V, c):
+    """The clause halving._certify rejects (U, V) with, or None."""
+    import halfjac.halving as halving
+    F = curve.field
+    try:
+        halving._certify(curve, a.raw, b.raw, halving._divide_at(F, curve.f.raws, a.raw),
+                         U.raws, V.raws, c.raw, errors.NotAHalf)
+    except errors.NotAHalf as exc:
+        return str(exc)
+    return None
+
+def _large_q_point(p):
+    """A rational g = 2 point at p built around its sign vector, as in
+    test_halves_at_large_q: alpha_i = a - r_i^2, b = prod r_i."""
+    F = ff_make(p)
+    r = [F(x) for x in (3, 5, 7, 11, 2 ** 40 + 15)]
+    a = F(2 ** 59 + 1)
+    curve = curve_make(F, [a - x * x for x in r])
+    return curve, CurvePoint(curve, a, math.prod(r, start=F.one()))
+
+def test_certificate_agrees_with_the_three_product_reference():
+    """_certify, which splits f and v at a and checks two products, gives
+    the verdict and the clause of oracles.certificate_clause, the
+    three-product identity, on every genuine half and on forged ones: one
+    coefficient of U or V moved by one (V up to degree g), c moved by one,
+    or b negated. Between them the forgeries fail every clause. A half is
+    also checked against f + 1, which leaves f_1 as it is and moves f(a)
+    alone."""
+    G3_lifted = lift_to_sqrt_field(G3, CurvePoint(G3, 7, 3))
+    clauses = set()
+    assert G3_lifted[0].field.q == 169
+    for curve, pt in ((C13, P05), (C13, P05.involution()), G3_lifted,
+                      _large_q_point(2 ** 61 - 1)):
+        F, g, a, b = curve.field, curve.g, pt.x, pt.y
+        sign = F(-1) if g % 2 else F.one()
+        for h in halve_point(curve, pt):
+            U, V = h.mumford.U, h.mumford.V
+            c = sign * symmetric_functions(h.sign_vector.r)[0]
+            assert oracles.certificate_clause(curve, a, b, U, V, c) is None
+            assert _certificate_verdict(curve, a, b, U, V, c) is None
+            forged = [(U + Polynomial.x(F) ** i, V, c, b) for i in range(g + 1)]
+            forged += [(U, V + Polynomial.x(F) ** i, c, b) for i in range(g + 1)]
+            forged += [(U, V, c + 1, b), (U, V, c, -b)]
+            for fU, fV, fc, fb in forged:
+                want = oracles.certificate_clause(curve, a, fb, fU, fV, fc)
+                assert _certificate_verdict(curve, a, fb, fU, fV, fc) == want
+                clauses.add(want)
+            shifted = types.SimpleNamespace(field=F, g=g, f=curve.f + 1)
+            assert (oracles.certificate_clause(shifted, a, b, U, V, c)
+                    == _certificate_verdict(shifted, a, b, U, V, c)
+                    == "f - v^2 != (x - a) U^2")
+    assert clauses == {"U is not monic of degree g", "deg V is not below g",
+                       "f - v^2 != (x - a) U^2", "v(a) != -b"}
+
+def test_rational_halving_cost_does_not_grow_with_q(monkeypatch):
+    """Cost contract of rational halving: on a g = 2 point it makes the
+    same calls at every q, one split of f and one table of powers per
+    point, then per half one symmetric-function pass, one certificate,
+    one synthetic division and two products. Calls are counted, no clock
+    is read."""
+    import halfjac.halving as halving
+    calls = collections.Counter()
+    for name in ("raw_mul", "raw_divrem", "raw_symmetric_functions", "_certify"):
+        def counted(*args, _real=getattr(halving, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(halving, name, counted)
+    for p in (10007, 1000003, 2 ** 61 - 1, 2 ** 127 - 1):
+        curve, pt = _large_q_point(p)
+        calls.clear()
+        assert len(halve_point(curve, pt)) == 16
+        assert calls == {"raw_mul": 2 + 2 * 16, "raw_divrem": 1 + 16,
+                         "raw_symmetric_functions": 16, "_certify": 16}, p
+
 def test_half_from_signs_matches_halve_point():
     """One sign vector's own table of powers gives the half that the table
     halve_point shares among all of a point's halves gives it; the g = 3
@@ -279,6 +355,15 @@ def test_lift_to_quadratic_extension():
     target = embed_point(pt2)
     for h in halves:
         assert double(h.mumford) == target
+
+def test_lift_builds_one_curve_per_curve():
+    """Every lifted point of a curve lies on one lifted curve object,
+    built on the first lift; a point that needs no lift keeps its curve."""
+    pts = [CurvePoint(C1, 4, 2), CurvePoint(C1, 4, 5), CurvePoint(C1, 0, 0)]
+    lifts = [lift_to_sqrt_field(C1, pt)[0] for pt in pts]
+    assert lifts[0] is lifts[1] is lifts[2] is not C1
+    assert lifts[0] == curve_make(quadratic_extension(F7)[0], lifts[0].alphas)
+    assert lift_to_sqrt_field(C1, P10)[0] is C1
 
 def test_lift_all_weierstrass_points_order_4():
     for curve in (C1, C3):

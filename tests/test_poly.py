@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from halfjac import errors
-from halfjac.field import ff_make, quadratic_extension
+from halfjac.field import FiniteField, ff_make, quadratic_extension
 from halfjac.poly import (
     NEG_INFINITY,
     Polynomial,
@@ -20,6 +20,8 @@ from halfjac.poly import (
     gcd_xgcd,
     poly_from_json,
     poly_to_json,
+    raw_mul,
+    raw_symmetric_functions,
     roots_in_field,
     symmetric_functions,
 )
@@ -279,6 +281,50 @@ def test_newton_identities_spot_check(vals):
         assert p2 == s[0] * s[0] - 2 * s[1]
     else:
         assert p2 == s[0] * s[0]
+
+
+# --- the prime and pair kernels against the generic loops ---
+
+KERNEL_PRIMES = (7, 13, 2 ** 61 - 1, 2 ** 127 - 1)
+KERNEL_FIELDS = ([ff_make(p) for p in KERNEL_PRIMES]
+                 + [quadratic_extension(ff_make(p))[0] for p in KERNEL_PRIMES]
+                 + [F49L])
+KERNEL_IDS = (["F_%d" % p for p in (7, 13)] + ["F_(2^61-1)", "F_(2^127-1)"]
+              + ["F_49", "F_169", "F_(2^61-1)^2", "F_(2^127-1)^2", "F_49_m1"])
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_kernels_agree_with_the_generic_loops(F):
+    """raw_mul and raw_symmetric_functions run the field's own kernel,
+    which adds up unreduced ints and reduces once per output coefficient
+    (a pair field folds t^2 through its modulus there), so at 2^127 - 1
+    its sums run to several hundred bits. On every length 0-9, with zero
+    coefficients and zero roots among the inputs, they agree with the
+    generic FiniteField loops, which reduce after every operation."""
+    assert type(F)._rpolymul is not FiniteField._rpolymul
+    rng = random.Random(F.q % 1000003)
+
+    def raws(n):
+        # about one coefficient in three is zero, the top one included
+        return [F._rat(rng.randrange(F.q)) if rng.randrange(3) else F._zero_raw
+                for _ in range(n)]
+
+    for la, lb in itertools.product(range(10), repeat=2):
+        a, b = raws(la), raws(lb)
+        if a:
+            a[-1] = F._rat(rng.randrange(1, F.q))      # stripped inputs
+        if b:
+            b[-1] = F._rat(rng.randrange(1, F.q))
+        a, b = tuple(a), tuple(b)
+        want = FiniteField._rpolymul(F, a, b) if a and b else ()
+        assert raw_mul(F, a, b) == want
+    for n in range(10):
+        for _ in range(4):
+            roots = raws(n)
+            assert raw_symmetric_functions(F, roots) == FiniteField._rsymmetric(F, roots)
+    # every coefficient p - 1: the largest unreduced sums
+    top = (F._rat(F.q - 1),) * 9
+    assert raw_mul(F, top, top) == FiniteField._rpolymul(F, top, top)
+    assert raw_symmetric_functions(F, top) == FiniteField._rsymmetric(F, top)
 
 
 # --- extension-field coefficients ---
